@@ -195,8 +195,8 @@ func BenchmarkNGramCountParallel(b *testing.B) {
 
 // --- Ablation benchmarks (design choices from DESIGN.md) ---
 
-// BenchmarkAblationWireFraming measures the JSON length-prefixed framing
-// cost per command round trip payload.
+// BenchmarkAblationWireFraming measures the binary framing cost per command
+// round trip payload.
 func BenchmarkAblationWireFraming(b *testing.B) {
 	req := wire.Request{
 		ID: 42, Op: wire.OpExec, Device: "C9", Name: "ARM",
@@ -204,24 +204,25 @@ func BenchmarkAblationWireFraming(b *testing.B) {
 	}
 	b.Run("encode", func(b *testing.B) {
 		var buf bytes.Buffer
+		c := wire.NewConn(&buf, nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf.Reset()
-			if err := wire.WriteFrame(&buf, req); err != nil {
+			if err := c.WriteFrame(req); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("roundtrip", func(b *testing.B) {
 		var buf bytes.Buffer
+		c := wire.NewConn(&buf, nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := wire.WriteFrame(&buf, req); err != nil {
+			if err := c.WriteFrame(req); err != nil {
 				b.Fatal(err)
 			}
 			var got wire.Request
-			if err := wire.ReadFrame(&buf, &got); err != nil {
+			if err := c.ReadFrame(&got); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -52,7 +52,7 @@ func TestMiddleboxFleetMode(t *testing.T) {
 	// Tenant-tagged binary-protocol requests instantiate and drive their
 	// own labs; each tenant must run its own device lifecycle (Init works
 	// per lab, proving the C9s are distinct instances).
-	tagged, err := rad.DialMiddleboxProto(addr, rad.WireProtoV2)
+	tagged, err := rad.DialMiddlebox(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	radmiddlebox [-listen ADDR] [-store DIR] [-trace FILE.jsonl] [-csv FILE.csv] [-network lan|cloud|none] [-power] [-stream ADDR] [-proto auto|v1|v2] [-fleet [-tenants N]]
+//	radmiddlebox [-listen ADDR] [-store DIR] [-trace FILE.jsonl] [-csv FILE.csv] [-network lan|cloud|none] [-power] [-stream ADDR] [-fleet [-tenants N]]
 //
 // Stop with SIGINT/SIGTERM: the listeners drain gracefully — in-flight
 // execs finish, replies and subscriber rings flush, tenant stores sync —
 // within the -drain-timeout budget before stragglers are severed, and
-// traces are flushed on shutdown. -heartbeat pings v2 stream subscribers
+// traces are flushed on shutdown. -heartbeat pings stream subscribers
 // and reaps the silent ones; -idle-timeout does the same for half-open
 // exec connections. A -store
 // directory survives crashes (torn tails are truncated on reopen) and is
@@ -78,7 +78,6 @@ func run(args []string, stop <-chan struct{}) error {
 	network := fs.String("network", "lan", "emulated network profile: lan, cloud, or none")
 	withPower := fs.Bool("power", true, "attach the UR3e power monitor")
 	streamAddr := fs.String("stream", "", "live-stream listen address ('' disables)")
-	protoFlag := fs.String("proto", "auto", "wire protocol served to clients: auto (negotiate per connection), v1 (JSON only), or v2 (binary only)")
 	obsAddr := fs.String("obs-addr", "", "telemetry listen address serving /metrics, /snapshot, and /debug/pprof ('' disables)")
 	seed := fs.Uint64("seed", 1, "device simulation seed")
 	faultSpec := fs.String("fault-profile", "", "fault-injection profile: none, flaky, or chaos, with optional key=value overrides (e.g. flaky,hang=0.01)")
@@ -91,7 +90,7 @@ func run(args []string, stop <-chan struct{}) error {
 	compactEvery := fs.Duration("compact-every", 0, "background storage-lifecycle cadence for -store: retention then compaction each interval (0 disables)")
 	retainAge := fs.Duration("retain-age", 0, "retention: retire sealed -store segments older than this (0 keeps everything)")
 	retainBytes := fs.Int64("retain-bytes", 0, "retention: retire oldest sealed -store segments past this byte budget (0 is unlimited)")
-	heartbeat := fs.Duration("heartbeat", 0, "stream liveness: ping v2 subscribers at this interval and reap any that stop answering (0 disables)")
+	heartbeat := fs.Duration("heartbeat", 0, "stream liveness: ping subscribers at this interval and reap any that stop answering (0 disables)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "reap exec connections idle past this deadline — half-open peers stop holding sockets and goroutines (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM: in-flight requests finish and subscriber rings flush before connections are severed (0 closes immediately)")
 	spanBuffer := fs.Int("span-buffer", 512, "span flight-recorder ring capacity per CPU shard (0 disables request tracing)")
@@ -103,10 +102,6 @@ func run(args []string, stop <-chan struct{}) error {
 		return err
 	}
 	faults, err := rad.ParseFaultProfile(*faultSpec)
-	if err != nil {
-		return err
-	}
-	proto, err := rad.ParseWireProto(*protoFlag)
 	if err != nil {
 		return err
 	}
@@ -351,7 +346,6 @@ func run(args []string, stop <-chan struct{}) error {
 		}
 		streamSrv = rad.NewStreamServer(broker, tdb)
 		streamSrv.SetSpans(spans)
-		streamSrv.SetProtocol(proto)
 		if *heartbeat > 0 {
 			streamSrv.SetHeartbeat(rad.StreamHeartbeat{Interval: *heartbeat})
 		}
@@ -392,7 +386,6 @@ func run(args []string, stop <-chan struct{}) error {
 
 	srv := rad.NewMiddleboxHandlerServer(handler, profile, *seed+6)
 	srv.SetSpans(spans)
-	srv.SetProtocol(proto)
 	if *idleTimeout > 0 {
 		srv.SetIdleTimeout(*idleTimeout)
 	}
@@ -436,7 +429,7 @@ func run(args []string, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("middlebox listening on %s (network=%s, power=%t, proto=%s)\n", addr, *network, *withPower, proto)
+	fmt.Printf("middlebox listening on %s (network=%s, power=%t)\n", addr, *network, *withPower)
 	if fleetRouter != nil {
 		fmt.Printf("fleet mode: up to %d tenant labs\n", *maxTenants)
 	}

@@ -48,7 +48,7 @@ func TestSpanCrossProcessTraceStitching(t *testing.T) {
 	}
 
 	// A live watcher, so stream-delivery spans are recorded.
-	tail, err := rad.DialStreamProto(streamAddr, rad.StreamSubscribe{Name: "stitch-test", Buffer: 64}, rad.WireProtoV2)
+	tail, err := rad.DialStream(streamAddr, rad.StreamSubscribe{Name: "stitch-test", Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	radreplay -trace FILE.jsonl | -store DIR [-middlebox ADDR] [-proto auto|v1|v2] [-device NAME] [-run LABEL] [-limit N]
+//	radreplay -trace FILE.jsonl | -store DIR [-middlebox ADDR] [-device NAME] [-run LABEL] [-limit N]
 //
 // The replay source is either a JSONL export (-trace) or a persistent
 // tracedb directory (-store), so a campaign persisted by radgen or a live
@@ -50,12 +50,7 @@ func run(args []string) error {
 	devFilter := fs.String("device", "", "replay only this device's commands")
 	runFilter := fs.String("run", "", "replay only this run's commands")
 	limit := fs.Int("limit", 0, "replay at most N commands (0 = all)")
-	protoFlag := fs.String("proto", "auto", "wire protocol to the middlebox: auto (try v2 binary, fall back to v1 JSON), v1, or v2")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proto, err := rad.ParseWireProto(*protoFlag)
-	if err != nil {
 		return err
 	}
 	if (*tracePath == "") == (*storeDir == "") {
@@ -143,11 +138,10 @@ func run(args []string) error {
 		fmt.Printf("local middlebox on %s (network=%s)\n", addr, *network)
 	}
 
-	transport, err := rad.DialMiddleboxProto(addr, proto)
+	transport, err := rad.DialMiddlebox(addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wire protocol: %s\n", transport.Protocol())
 	sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{
 		DefaultMode: rad.ModeRemote, Procedure: "replay",
 	})

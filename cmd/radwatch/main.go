@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	radwatch -addr HOST:PORT [filters] [-snapshot] [-power] [-reconnect] [-proto auto|v1|v2] [-format text|jsonl|csv] [-limit N]
+//	radwatch -addr HOST:PORT [filters] [-snapshot] [-power] [-reconnect] [-format text|jsonl|csv] [-limit N]
 //	radwatch -addr HOST:PORT -ids -train TRACE.jsonl [-order N] [-window N] [-alerts FILE]
 //	radwatch -obs HOST:PORT [-interval DUR] [-limit N]
 //	radwatch -obs HOST:PORT -spans [-span-min DUR] [-span-tenant ID] [-span-outcome S] [-limit N]
@@ -75,7 +75,6 @@ func run(args []string, out io.Writer) error {
 	buffer := fs.Int("buffer", 0, "server-side ring capacity (0 = default)")
 	format := fs.String("format", "text", "output: text, jsonl, or csv")
 	limit := fs.Int("limit", 0, "stop after N events (0 = forever)")
-	protoFlag := fs.String("proto", "auto", "wire protocol: auto (try v2 binary, fall back to v1 JSON), v1, or v2")
 	obsAddr := fs.String("obs", "", "middlebox telemetry address (-obs-addr): poll /snapshot and pretty-print metrics instead of tailing the stream")
 	interval := fs.Duration("interval", 2*time.Second, "obs: polling interval")
 	spansMode := fs.Bool("spans", false, "obs: poll /debug/spans instead of /snapshot and pretty-print recent trace trees")
@@ -91,10 +90,6 @@ func run(args []string, out io.Writer) error {
 	window := fs.Int("window", 0, "ids: sliding-window size in commands (0 = auto)")
 	rules := fs.Bool("rules", false, "ids: also run the middlebox rule engine")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proto, err := rad.ParseWireProto(*protoFlag)
-	if err != nil {
 		return err
 	}
 	if *obsAddr != "" {
@@ -123,12 +118,11 @@ func run(args []string, out io.Writer) error {
 			return rad.NewStreamResilientTail(rad.StreamResilientConfig{
 				Addr:        *addr,
 				Subscribe:   req,
-				Proto:       proto,
 				Seed:        *reconnectSeed,
 				IdleTimeout: *idleTimeout,
 			}), nil
 		}
-		return rad.DialStreamProto(*addr, req, proto)
+		return rad.DialStream(*addr, req)
 	}
 	if *idsMode {
 		if *train == "" {

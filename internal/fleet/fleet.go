@@ -30,9 +30,9 @@ import (
 	"rad/internal/wire"
 )
 
-// DefaultTenant names the lab an untagged request reaches: a v1 or v2
-// single-tenant peer that has never heard of tenancy keeps talking to "its"
-// middlebox unchanged.
+// DefaultTenant names the lab an untagged request reaches: a single-tenant
+// peer that has never heard of tenancy keeps talking to "its" middlebox
+// unchanged.
 const DefaultTenant = "default"
 
 // DefaultMaxTenants bounds how many labs one router will lazily

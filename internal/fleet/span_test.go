@@ -63,13 +63,13 @@ func TestFleetTracedCampaignDigests(t *testing.T) {
 	}
 }
 
-// TestFleetTracedMixedWireDigests drives a mixed v1 JSON / v2 binary client
-// pair through ONE traced fleet listener — each protocol on its own tenant
-// so per-tenant record streams stay single-writer — and asserts the whole
-// thing is byte-reproducible: rerunning the storm yields identical
-// per-tenant digests, with the server stitching wire, exec, and trace-
-// context spans the entire time. v1 clients cannot carry trace context
-// (the JSON codec predates it), so their trees root at the server.
+// TestFleetTracedMixedWireDigests drives a mixed client pair — one carrying
+// trace context, one not — through ONE traced fleet listener, each on its
+// own tenant so per-tenant record streams stay single-writer, and asserts
+// the whole thing is byte-reproducible: rerunning the storm yields
+// identical per-tenant digests, with the server stitching wire, exec, and
+// trace-context spans the entire time. The untraced client's trees root at
+// the server.
 func TestFleetTracedMixedWireDigests(t *testing.T) {
 	runStorm := func() (map[string]string, *span.Recorder) {
 		rec := span.NewRecorder(span.Config{Seed: 7, BufferPerShard: 1024})
@@ -95,19 +95,19 @@ func TestFleetTracedMixedWireDigests(t *testing.T) {
 		defer srv.Close()
 
 		clients := []struct {
-			proto  wire.Proto
+			traced bool
 			tenant string
 		}{
-			{wire.ProtoV1, "lab-json"},
-			{wire.ProtoV2, "lab-binary"},
+			{false, "lab-untraced"},
+			{true, "lab-traced"},
 		}
 		var wg sync.WaitGroup
 		errs := make(chan error, len(clients))
 		for ci, cl := range clients {
 			wg.Add(1)
-			go func(ci int, proto wire.Proto, tenant string) {
+			go func(ci int, traced bool, tenant string) {
 				defer wg.Done()
-				conn, wc, err := wire.Dial(addr, proto, nil)
+				conn, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -119,9 +119,7 @@ func TestFleetTracedMixedWireDigests(t *testing.T) {
 						Device: "C9", Name: name, Args: args,
 						Run: "storm-" + tenant,
 					}
-					if proto == wire.ProtoV2 {
-						// Client-side trace context: only the v2 codec can
-						// carry it, exactly like Tenant/ResumeFrom.
+					if traced {
 						req.TraceID, req.SpanID = uint64(1000+id), uint64(2000+id)
 					}
 					if err := wc.WriteFrame(req); err != nil {
@@ -140,7 +138,7 @@ func TestFleetTracedMixedWireDigests(t *testing.T) {
 						return
 					}
 				}
-			}(ci, cl.proto, cl.tenant)
+			}(ci, cl.traced, cl.tenant)
 		}
 		wg.Wait()
 		close(errs)
@@ -161,9 +159,10 @@ func TestFleetTracedMixedWireDigests(t *testing.T) {
 		t.Fatalf("expected 2 tenant stores, got %d", len(first))
 	}
 
-	// The server stitched trees for both protocols: every root is a
-	// server.request span with a middlebox.exec child, and the v2 client's
-	// remote context made its roots children of the client's span ids.
+	// The server stitched trees for both clients: every root is a
+	// server.request span with a middlebox.exec child, and the traced
+	// client's remote context made its roots children of the client's span
+	// ids.
 	stitched, remoteParented := 0, 0
 	for _, root := range rec.Roots(span.Filter{Limit: 0}) {
 		if root.Span.Name != "server.request" {
@@ -182,7 +181,7 @@ func TestFleetTracedMixedWireDigests(t *testing.T) {
 		t.Fatal("no server.request root has a middlebox.exec child — trees did not stitch")
 	}
 	if remoteParented == 0 {
-		t.Fatal("no server root adopted the v2 client's trace context")
+		t.Fatal("no server root adopted the traced client's trace context")
 	}
 	if rollups := rec.Rollup(); len(rollups) < 2 {
 		t.Fatalf("expected per-tenant rollups for both labs, got %+v", rollups)
@@ -191,7 +190,7 @@ func TestFleetTracedMixedWireDigests(t *testing.T) {
 	second, _ := runStorm()
 	for id, d := range first {
 		if second[id] != d {
-			t.Fatalf("tenant %s: traced mixed-protocol rerun digest moved\n  %s\n  %s", id, d, second[id])
+			t.Fatalf("tenant %s: traced mixed-client rerun digest moved\n  %s\n  %s", id, d, second[id])
 		}
 	}
 }

@@ -7,6 +7,7 @@ package middlebox
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -43,7 +44,7 @@ func TestDrainFlushesInFlightReply(t *testing.T) {
 	}
 	defer srv.Close()
 
-	nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
+	nc, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestDrainTimeoutSeversStragglers(t *testing.T) {
 	defer srv.Close()
 	defer close(gate)
 
-	nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
+	nc, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestDrainReleasesGoroutines(t *testing.T) {
 		}
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
-			nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
+			nc, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +153,9 @@ func TestDrainReleasesGoroutines(t *testing.T) {
 
 // TestHeartbeatIdleTimeoutReapsHalfOpenConn: a connection that goes silent
 // past the idle deadline is reaped even though its peer never closed —
-// the half-open case SetIdleTimeout exists for.
+// the half-open case SetIdleTimeout exists for. The deadline covers the
+// handshake too: a peer that connects and sends nothing, or only part of
+// the preamble, is reaped the same way.
 func TestHeartbeatIdleTimeoutReapsHalfOpenConn(t *testing.T) {
 	srv := NewHandlerServer(&slowHandler{}, NetworkProfile{}, 1)
 	srv.SetIdleTimeout(30 * time.Millisecond)
@@ -162,26 +165,53 @@ func TestHeartbeatIdleTimeoutReapsHalfOpenConn(t *testing.T) {
 	}
 	defer srv.Close()
 
-	nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	// One healthy round trip, then total silence.
-	if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var reply wire.Reply
-	if err := wc.ReadFrame(&reply); err != nil {
-		t.Fatal(err)
+	// awaitReap requires the server to close nc: a read on our side sees
+	// EOF (or a reset) rather than blocking until our own deadline.
+	awaitReap := func(t *testing.T, nc net.Conn) {
+		t.Helper()
+		_ = nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var buf [16]byte
+		n, err := nc.Read(buf[:])
+		if err == nil {
+			t.Fatalf("idle connection still served %d bytes", n)
+		}
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("idle connection never reaped: read timed out on our side, not closed by the server")
+		}
 	}
 
-	// The server must reap the silent connection: a read on our side
-	// eventually sees EOF rather than blocking forever.
-	_ = nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if err := wc.ReadFrame(&reply); err == nil {
-		t.Fatal("idle connection still served a frame")
-	} else if ne, ok := err.(interface{ Timeout() bool }); ok && ne.Timeout() {
-		t.Fatal("idle connection never reaped: read timed out on our side, not closed by the server")
+	t.Run("silent after a round trip", func(t *testing.T) {
+		nc, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
+			t.Fatal(err)
+		}
+		var reply wire.Reply
+		if err := wc.ReadFrame(&reply); err != nil {
+			t.Fatal(err)
+		}
+		awaitReap(t, nc)
+	})
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+	}{
+		{"silent before the handshake", nil},
+		{"partial preamble", []byte("RA")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := nc.Write(tc.opening); err != nil {
+				t.Fatal(err)
+			}
+			awaitReap(t, nc)
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package middlebox
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -147,7 +146,7 @@ func TestServerServesOverTCP(t *testing.T) {
 		}
 	}()
 
-	conn, err := net.Dial("tcp", addr)
+	conn, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +154,11 @@ func TestServerServesOverTCP(t *testing.T) {
 
 	send := func(req wire.Request) wire.Reply {
 		t.Helper()
-		if err := wire.WriteFrame(conn, req); err != nil {
+		if err := wc.WriteFrame(req); err != nil {
 			t.Fatal(err)
 		}
 		var reply wire.Reply
-		if err := wire.ReadFrame(conn, &reply); err != nil {
+		if err := wc.ReadFrame(&reply); err != nil {
 			t.Fatal(err)
 		}
 		return reply
@@ -189,18 +188,18 @@ func TestServerAppliesNetworkDelay(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", addr)
+	conn, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 
 	start := time.Now()
-	if err := wire.WriteFrame(conn, wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
+	if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
 		t.Fatal(err)
 	}
 	var reply wire.Reply
-	if err := wire.ReadFrame(conn, &reply); err != nil {
+	if err := wc.ReadFrame(&reply); err != nil {
 		t.Fatal(err)
 	}
 	if rtt := time.Since(start); rtt < 20*time.Millisecond {

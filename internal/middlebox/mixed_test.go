@@ -1,22 +1,46 @@
 package middlebox
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"rad/internal/store"
 	"rad/internal/wire"
 )
 
-// TestWireMixedVersionFleet runs a fleet of v1, v2, and auto-negotiating
-// clients against one listener concurrently. Every client uploads the same
-// DIRECT-mode trace set, so the store must end up holding one record per
-// (client, upload) — and for each upload index, every client's copy must be
-// byte-identical modulo the store-assigned sequence number. Any field the
-// binary codec drops, mangles, or re-encodes differently from JSON shows up
-// as a mismatch inside an index group.
+// v1Frame encodes v in the retired v1 framing — a 4-byte big-endian length
+// then JSON — which is what a pre-binary peer opens its connection with.
+func v1Frame(t *testing.T, v any) []byte {
+	t.Helper()
+	payload, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// silentClose reports an error unless the server closes conn without
+// writing a single byte.
+func silentClose(conn net.Conn) error {
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var buf [16]byte
+	if n, err := conn.Read(buf[:]); err == nil || n > 0 {
+		return fmt.Errorf("server answered %q (err %v), want the connection closed without a reply", buf[:n], err)
+	}
+	return nil
+}
+
+// TestWireMixedVersionFleet runs a fleet of clients against one listener
+// concurrently while v1 JSON peers keep arriving. Every v1 peer must be
+// refused without a reply, and every v2 client uploads the same DIRECT-mode
+// trace set, so the store must end up holding one record per (client,
+// upload) — and for each upload index, every client's copy must be
+// byte-identical modulo the store-assigned sequence number.
 func TestWireMixedVersionFleet(t *testing.T) {
 	core, sink, _ := newTestCore(t)
 	srv := NewServer(core, NetworkProfile{}, 1)
@@ -26,26 +50,38 @@ func TestWireMixedVersionFleet(t *testing.T) {
 	}
 	defer srv.Close()
 
-	const uploads = 8
-	protos := []wire.Proto{wire.ProtoV1, wire.ProtoV1, wire.ProtoV2, wire.ProtoV2, wire.ProtoAuto}
-	wantVersion := []wire.Version{wire.V1, wire.V1, wire.V2, wire.V2, wire.V2}
-
+	const clients, legacy, uploads = 4, 2, 8
 	var wg sync.WaitGroup
-	errs := make(chan error, len(protos))
-	for ci, proto := range protos {
+	errs := make(chan error, clients+legacy)
+	for li := 0; li < legacy; li++ {
 		wg.Add(1)
-		go func(ci int, proto wire.Proto) {
+		go func(li int) {
 			defer wg.Done()
-			conn, wc, err := wire.Dial(addr, proto, nil)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				errs <- fmt.Errorf("v1 peer %d: dial: %w", li, err)
+				return
+			}
+			defer conn.Close()
+			if _, err := conn.Write(v1Frame(t, wire.Request{ID: 1, Op: wire.OpPing})); err != nil {
+				errs <- fmt.Errorf("v1 peer %d: write: %w", li, err)
+				return
+			}
+			if err := silentClose(conn); err != nil {
+				errs <- fmt.Errorf("v1 peer %d: %w", li, err)
+			}
+		}(li)
+	}
+	for ci := 0; ci < clients; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			conn, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 			if err != nil {
 				errs <- fmt.Errorf("client %d: dial: %w", ci, err)
 				return
 			}
 			defer conn.Close()
-			if wc.Version() != wantVersion[ci] {
-				errs <- fmt.Errorf("client %d: negotiated %s, want %s", ci, wc.Version(), wantVersion[ci])
-				return
-			}
 			for i := 0; i < uploads; i++ {
 				req := wire.Request{
 					Op:         wire.OpTrace,
@@ -75,7 +111,7 @@ func TestWireMixedVersionFleet(t *testing.T) {
 					return
 				}
 			}
-		}(ci, proto)
+		}(ci)
 	}
 	wg.Wait()
 	close(errs)
@@ -84,11 +120,11 @@ func TestWireMixedVersionFleet(t *testing.T) {
 	}
 
 	records := sink.All()
-	if len(records) != len(protos)*uploads {
-		t.Fatalf("store holds %d records, want %d", len(records), len(protos)*uploads)
+	if len(records) != clients*uploads {
+		t.Fatalf("store holds %d records, want %d", len(records), clients*uploads)
 	}
 	// Group by upload index (recoverable from StartNanos) and require every
-	// group to be one identical record seen len(protos) times.
+	// group to be one identical record seen once per client.
 	groups := make(map[int64][]store.Record)
 	for _, r := range records {
 		groups[r.Time.UnixNano()] = append(groups[r.Time.UnixNano()], r)
@@ -97,13 +133,13 @@ func TestWireMixedVersionFleet(t *testing.T) {
 		t.Fatalf("%d distinct uploads in store, want %d", len(groups), uploads)
 	}
 	for nanos, group := range groups {
-		if len(group) != len(protos) {
-			t.Fatalf("upload at %d has %d copies, want %d", nanos, len(group), len(protos))
+		if len(group) != clients {
+			t.Fatalf("upload at %d has %d copies, want %d", nanos, len(group), clients)
 		}
 		want := canonical(t, group[0])
 		for _, r := range group[1:] {
 			if got := canonical(t, r); got != want {
-				t.Errorf("upload at %d diverges across protocols:\n got %s\nwant %s", nanos, got, want)
+				t.Errorf("upload at %d diverges across clients:\n got %s\nwant %s", nanos, got, want)
 			}
 		}
 	}
@@ -121,42 +157,14 @@ func canonical(t *testing.T, r store.Record) string {
 	return string(b)
 }
 
-// TestWireMiddleboxPinnedProtocols pins SetProtocol's two restricted modes:
-// a v1-pinned listener serves v1 clients and never upgrades, a v2-pinned
-// listener rejects v1 clients outright.
+// TestWireMiddleboxPinnedProtocols pins the listener to v2, the only
+// protocol: a v2 client is served, and a client still pinned to the v1 JSON
+// framing is rejected at the handshake — the connection just dies, and the
+// client sees no reply.
 func TestWireMiddleboxPinnedProtocols(t *testing.T) {
-	t.Run("v1 pin", func(t *testing.T) {
-		core, _, _ := newTestCore(t)
-		srv := NewServer(core, NetworkProfile{}, 1)
-		srv.SetProtocol(wire.ProtoV1)
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-
-		// An auto dialer's v2 handshake dies (pinned server reads the
-		// preamble as a broken v1 frame) and falls back to v1.
-		conn, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if wc.Version() != wire.V1 {
-			t.Fatalf("auto against v1-pinned server negotiated %s", wc.Version())
-		}
-		if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
-			t.Fatal(err)
-		}
-		var rep wire.Reply
-		if err := wc.ReadFrame(&rep); err != nil || rep.Value != "pong" {
-			t.Fatalf("ping over fallback v1: %+v, %v", rep, err)
-		}
-	})
 	t.Run("v2 pin", func(t *testing.T) {
 		core, _, _ := newTestCore(t)
 		srv := NewServer(core, NetworkProfile{}, 1)
-		srv.SetProtocol(wire.ProtoV2)
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -173,19 +181,19 @@ func TestWireMiddleboxPinnedProtocols(t *testing.T) {
 		}
 		var rep wire.Reply
 		if err := wc.ReadFrame(&rep); err != nil || rep.Value != "pong" {
-			t.Fatalf("ping over pinned v2: %+v, %v", rep, err)
+			t.Fatalf("ping over v2: %+v, %v", rep, err)
 		}
 
-		// A v1 client's first frame is rejected at negotiation: the
-		// connection just dies, and the client sees EOF on the reply read.
-		conn2, wc2, err := wire.Dial(addr, wire.ProtoV1, nil)
+		conn2, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn2.Close()
-		_ = wc2.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing})
-		if err := wc2.ReadFrame(&rep); err == nil {
-			t.Fatal("v1 client got a reply from a v2-pinned listener")
+		if _, err := conn2.Write(v1Frame(t, wire.Request{ID: 1, Op: wire.OpPing})); err != nil {
+			t.Fatal(err)
+		}
+		if err := silentClose(conn2); err != nil {
+			t.Fatalf("v1 client: %v", err)
 		}
 	})
 }

@@ -14,7 +14,9 @@ import (
 )
 
 // TestServerSurvivesGarbageBytes: the middlebox is the trusted component; a
-// misbehaving client must only lose its own connection.
+// misbehaving client must only lose its own connection. Each opening below
+// is refused at the handshake — the connection closes with no reply — and
+// the next client is served normally.
 func TestServerSurvivesGarbageBytes(t *testing.T) {
 	clock := simclock.Real{}
 	core := NewCore(clock, store.NewMemStore())
@@ -26,42 +28,51 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Client 1 sends garbage: an absurd length prefix.
-	bad, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bad.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x', 'y'}); err != nil {
-		t.Fatal(err)
-	}
-	// The server must drop the connection.
-	_ = bad.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 16)
-	if _, err := bad.Read(buf); err == nil {
-		t.Error("server replied to a garbage frame instead of dropping the connection")
-	}
-	_ = bad.Close()
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+	}{
+		{"absurd length prefix", []byte{0xFF, 0xFF, 0xFF, 0xFF, 'x', 'y'}},
+		// A v1 peer: its 4-byte length header opens with 0x00, not the
+		// preamble.
+		{"v1 JSON frame", v1Frame(t, wire.Request{ID: 1, Op: wire.OpPing})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bad.Close()
+			if _, err := bad.Write(tc.opening); err != nil {
+				t.Fatal(err)
+			}
+			if err := silentClose(bad); err != nil {
+				t.Error(err)
+			}
 
-	// Client 2 works fine afterwards.
-	good, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer good.Close()
-	if err := wire.WriteFrame(good, wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var reply wire.Reply
-	if err := wire.ReadFrame(good, &reply); err != nil {
-		t.Fatalf("healthy client after garbage client: %v", err)
-	}
-	if reply.Value != "pong" {
-		t.Errorf("reply = %+v", reply)
+			// The next client works fine afterwards.
+			good, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer good.Close()
+			if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
+				t.Fatal(err)
+			}
+			var reply wire.Reply
+			if err := wc.ReadFrame(&reply); err != nil {
+				t.Fatalf("healthy client after garbage client: %v", err)
+			}
+			if reply.Value != "pong" {
+				t.Errorf("reply = %+v", reply)
+			}
+		})
 	}
 }
 
-// TestServerSurvivesNonJSONPayload: a well-framed but non-JSON payload also
-// only drops that connection.
+// TestServerSurvivesNonJSONPayload: a client that completes the handshake
+// and then sends a well-framed but undecodable payload also only drops
+// that connection.
 func TestServerSurvivesNonJSONPayload(t *testing.T) {
 	clock := simclock.Real{}
 	core := NewCore(clock, nil)
@@ -72,19 +83,19 @@ func TestServerSurvivesNonJSONPayload(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", addr)
+	conn, _, err := wire.Dial(addr, wire.ProtoV2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("definitely not json")
-	frame := append([]byte{0, 0, 0, byte(len(payload))}, payload...)
+	payload := []byte("definitely not a frame")
+	frame := append([]byte{byte(len(payload))}, payload...)
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	buf := make([]byte, 16)
 	if n, err := conn.Read(buf); err == nil && n > 0 {
-		t.Error("server replied to non-JSON payload")
+		t.Error("server replied to an undecodable payload")
 	}
 	_ = conn.Close()
 }
@@ -110,28 +121,28 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
+			conn, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer conn.Close()
-			if err := wire.WriteFrame(conn, wire.Request{ID: 1, Op: wire.OpExec, Device: "C9", Name: device.Init}); err != nil {
+			if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpExec, Device: "C9", Name: device.Init}); err != nil {
 				errs <- err
 				return
 			}
 			var reply wire.Reply
-			if err := wire.ReadFrame(conn, &reply); err != nil {
+			if err := wc.ReadFrame(&reply); err != nil {
 				errs <- err
 				return
 			}
 			for i := 0; i < perClient; i++ {
 				req := wire.Request{ID: uint64(i + 2), Op: wire.OpExec, Device: "C9", Name: "MVNG"}
-				if err := wire.WriteFrame(conn, req); err != nil {
+				if err := wc.WriteFrame(req); err != nil {
 					errs <- err
 					return
 				}
-				if err := wire.ReadFrame(conn, &reply); err != nil {
+				if err := wc.ReadFrame(&reply); err != nil {
 					errs <- err
 					return
 				}

@@ -76,16 +76,12 @@ type Handler interface {
 }
 
 // Server exposes a Handler over TCP using the wire protocol. One goroutine
-// per connection; requests on a connection are served in order.
-//
-// Each connection's protocol version is negotiated on accept (wire.Accept):
-// by default the listener serves v1 JSON clients and v2 binary clients side
-// by side, distinguished by the connection preamble. SetProtocol pins the
-// listener to one version instead.
+// per connection; requests on a connection are served in order. Each
+// connection opens with the wire preamble (wire.Accept); a peer that does
+// not send it is dropped without a reply.
 type Server struct {
 	core    Handler
 	profile NetworkProfile
-	proto   wire.Proto
 	wireM   *wire.Metrics
 	spans   *span.Recorder
 
@@ -116,13 +112,8 @@ func NewHandlerServer(h Handler, profile NetworkProfile, seed uint64) *Server {
 	}
 }
 
-// SetProtocol restricts which wire protocol versions the listener accepts;
-// the default (wire.ProtoAuto) negotiates per connection. Call before
-// Start.
-func (s *Server) SetProtocol(p wire.Proto) { s.proto = p }
-
-// Observe registers per-protocol wire metrics (frame counters,
-// encode/decode latency histograms) in reg. Call before Start.
+// Observe registers wire metrics (frame counters, encode/decode latency
+// histograms) in reg. Call before Start.
 func (s *Server) Observe(reg *obs.Registry) { s.wireM = wire.NewMetrics(reg) }
 
 // SetSpans attaches a span flight recorder: every request served gets a
@@ -141,12 +132,13 @@ func (s *Server) Draining() bool {
 	return s.closed
 }
 
-// SetIdleTimeout bounds how long a connection may sit between requests
-// before it is reaped. The exec protocol is strict request/reply, so a
-// peer that goes quiet past the deadline is either gone or half-open
-// (crashed without a FIN); without the deadline such a connection holds
-// its goroutine and socket until process exit. Zero (the default) never
-// times out. Call before Start.
+// SetIdleTimeout bounds how long a connection may sit silent — before its
+// handshake completes, or between requests — before it is reaped. The
+// exec protocol is strict request/reply, so a peer that goes quiet past
+// the deadline is either gone or half-open (crashed without a FIN);
+// without the deadline such a connection holds its goroutine and socket
+// until process exit. Zero (the default) never times out. Call before
+// Start.
 func (s *Server) SetIdleTimeout(d time.Duration) { s.idle = d }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and begins serving in the
@@ -199,7 +191,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	wc, err := wire.Accept(conn, s.proto, s.wireM)
+	// The handshake is a read like any other: a peer that connects and then
+	// sends nothing (or half a preamble) is reaped by the idle deadline.
+	if !s.armIdle(conn) {
+		return
+	}
+	wc, err := wire.Accept(conn, s.wireM)
 	if err != nil {
 		return // dead or protocol-confused peer: drop the connection
 	}
@@ -207,18 +204,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		wc.CaptureCodecLatency()
 	}
 	for {
-		// The closed check and any deadline reset share the mutex with
-		// Drain, so a drain nudge (an expired read deadline) can never be
-		// overwritten by this connection's own idle deadline.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		if !s.armIdle(conn) {
 			return
 		}
-		if s.idle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idle))
-		}
-		s.mu.Unlock()
 		var req wire.Request
 		if err := wc.ReadFrame(&req); err != nil {
 			return // EOF, idle timeout, or a broken/odd frame: drop the connection
@@ -263,6 +251,23 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// armIdle sets conn's idle read deadline before its next read, reporting
+// false once the server is closing. The closed check and the deadline
+// reset share the mutex with Drain, so a drain nudge (an expired read
+// deadline) can never be overwritten by this connection's own idle
+// deadline.
+func (s *Server) armIdle(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	if s.idle > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.idle))
+	}
+	return true
 }
 
 func (s *Server) sampleDelay() time.Duration {

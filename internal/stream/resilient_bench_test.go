@@ -76,7 +76,7 @@ func BenchmarkResilientTailDelivery(b *testing.B) {
 	req := wire.Subscribe{Name: "bench", Snapshot: true, Policy: wire.PolicyBlock, Buffer: 1024}
 	b.Run("plain", func(b *testing.B) {
 		benchTailDelivery(b, 0, func(addr string) (recvSource, error) {
-			return stream.DialProto(addr, req, wire.ProtoAuto)
+			return stream.Dial(addr, req)
 		})
 	})
 	b.Run("resilient", func(b *testing.B) {

@@ -22,13 +22,12 @@ import (
 // and drop accounting are per-tailer; a stalled client under drop-oldest
 // costs the middlebox nothing but that client's own ring.
 //
-// Like the middlebox listener, the tail listener negotiates each
-// connection's protocol version on accept: v1 JSON tailers and v2 binary
-// tailers share the listener, distinguished by the connection preamble.
+// Like the middlebox listener, the tail listener requires the wire
+// preamble on every connection and drops any other opening without a
+// reply.
 type Server struct {
 	broker   *Broker
 	db       *tracedb.DB // snapshot source; nil disables snapshot-then-follow
-	proto    wire.Proto
 	wireM    *wire.Metrics
 	spans    *span.Recorder
 	resolver TenantResolver // nil: single-tenant listener
@@ -55,13 +54,8 @@ func NewServer(broker *Broker, db *tracedb.DB) *Server {
 	return &Server{broker: broker, db: db, conns: make(map[net.Conn]*Subscriber)}
 }
 
-// SetProtocol restricts which wire protocol versions the tail listener
-// accepts; the default (wire.ProtoAuto) negotiates per connection. Call
-// before Start.
-func (s *Server) SetProtocol(p wire.Proto) { s.proto = p }
-
-// Observe registers per-protocol wire metrics in reg (shared with any
-// other listener observing the same registry). Call before Start.
+// Observe registers wire metrics in reg (shared with any other listener
+// observing the same registry). Call before Start.
 func (s *Server) Observe(reg *obs.Registry) { s.wireM = wire.NewMetrics(reg) }
 
 // SetSpans attaches a span flight recorder: every traced record delivered
@@ -112,10 +106,9 @@ func (hb HeartbeatConfig) grace() time.Duration {
 // Interval the server pings, and a connection that fails to pong within
 // Interval+Timeout is reaped — its subscriber detached, its metrics
 // unregistered, its goroutines collected — instead of holding a slot until
-// the next write discovers the corpse. Only v2 peers are probed; the v1
-// protocol has no control frames, so v1 connections keep the
-// read-anything-means-dead watcher (and die on the next write, as they
-// always have). Call before Start.
+// the next write discovers the corpse. With heartbeats off (the default)
+// a connection is watched passively instead: any read completing means the
+// peer is gone. Call before Start.
 func (s *Server) SetHeartbeat(hb HeartbeatConfig) { s.hb = hb }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the background,
@@ -168,16 +161,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	wc, err := wire.Accept(conn, s.proto, s.wireM)
+	wc, err := wire.Accept(conn, s.wireM)
 	if err != nil {
-		return // connection died mid-negotiation: nothing to tell anyone
+		return // dead or protocol-confused peer: nothing to tell anyone
 	}
 	var req wire.Subscribe
 	if err := wc.ReadFrame(&req); err != nil {
-		if wc.Version() == wire.V2 && !errors.Is(err, io.EOF) {
-			// The peer completed the v2 handshake, so it can decode an
-			// error frame: report the malformed subscribe precisely
-			// instead of closing silently.
+		if !errors.Is(err, io.EOF) {
+			// The peer completed the handshake, so it can decode an error
+			// frame: report the malformed subscribe precisely instead of
+			// closing silently.
 			_ = wc.WriteFrame(wire.Event{Kind: wire.EventError,
 				Error: fmt.Sprintf("stream: bad subscribe frame: %v", err)})
 		}
@@ -264,15 +257,15 @@ func (tc *tailConn) write(v any) error {
 	return tc.wc.WriteFrame(v)
 }
 
-// supervise watches one subscribed connection for death. A v2 peer under a
-// heartbeat regime is actively probed: pings every interval, a read
+// supervise watches one subscribed connection for death. Under a heartbeat
+// regime the peer is actively probed: pings every interval, a read
 // deadline covering the expected pong, and reaping on the first missed
 // deadline — which detects a half-open connection (peer gone, TCP none the
 // wiser) that would otherwise leak the subscriber and its goroutines until
-// the next write. v1 peers, whose protocol has no control frames, keep the
-// passive watcher: any read completing means the conversation is over.
+// the next write. With heartbeats off the passive watcher runs instead:
+// any read completing means the conversation is over.
 func (s *Server) supervise(conn net.Conn, wc *wire.Conn, tc *tailConn, sub *Subscriber) {
-	if wc.Version() == wire.V2 && s.hb.Interval > 0 {
+	if s.hb.Interval > 0 {
 		s.superviseHeartbeat(conn, wc, tc, sub)
 		return
 	}
@@ -296,7 +289,7 @@ func (s *Server) watchConn(conn net.Conn, sub *Subscriber) {
 	}()
 }
 
-// superviseHeartbeat runs the active liveness pair for one v2 connection:
+// superviseHeartbeat runs the active liveness pair for one connection:
 // a pinger writing probes every interval and a reader that demands each
 // pong inside interval+grace. Either side failing reaps the subscriber at
 // that moment — the reap point where the ring detaches and (through
@@ -557,15 +550,14 @@ type Client struct {
 	idle time.Duration
 }
 
-// Dial connects to a stream listener over the v1 JSON protocol and
-// subscribes. The request's Op is set for the caller.
+// Dial connects to a stream listener and subscribes. The request's Op is
+// set for the caller.
 func Dial(addr string, req wire.Subscribe) (*Client, error) {
-	return DialProto(addr, req, wire.ProtoV1)
+	return DialProto(addr, req, wire.ProtoV2)
 }
 
-// DialProto is Dial with an explicit protocol selector: wire.ProtoAuto
-// negotiates v2 with an upgraded listener and falls back to v1, wire.ProtoV2
-// fails unless the listener speaks the binary protocol.
+// DialProto is Dial with the protocol spelled out; wire.ProtoV2 is the
+// only version wire.Dial accepts.
 func DialProto(addr string, req wire.Subscribe, proto wire.Proto) (*Client, error) {
 	conn, wc, err := wire.Dial(addr, proto, nil)
 	if err != nil {
@@ -579,7 +571,7 @@ func DialProto(addr string, req wire.Subscribe, proto wire.Proto) (*Client, erro
 	return &Client{conn: conn, wc: wc}, nil
 }
 
-// Protocol reports the wire protocol version the subscription negotiated.
+// Protocol reports the wire protocol version the subscription speaks.
 func (c *Client) Protocol() wire.Version { return c.wc.Version() }
 
 // SetIdleTimeout bounds how long Recv will wait for any frame from the

@@ -1,7 +1,9 @@
 package stream_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -13,30 +15,58 @@ import (
 	"rad/internal/wire"
 )
 
-// TestWireMixedVersionTail subscribes a v1 tailer, a v2 tailer, and an
-// auto-negotiating tailer to the same listener, publishes one feed, and
-// requires every client to see identical events — the protocol version must
-// be invisible above the framing.
+// v1Frame encodes v in the retired v1 framing — a 4-byte big-endian length
+// then JSON — which is what a pre-binary tailer opens its connection with.
+func v1Frame(t *testing.T, v any) []byte {
+	t.Helper()
+	payload, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// expectSilentClose requires the server to close conn without writing a
+// single byte.
+func expectSilentClose(t *testing.T, conn net.Conn) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var buf [16]byte
+	if n, err := conn.Read(buf[:]); err == nil || n > 0 {
+		t.Fatalf("server answered %q (err %v), want the connection closed without a reply", buf[:n], err)
+	}
+}
+
+// TestWireMixedVersionTail subscribes several tailers to the same listener
+// while a v1 JSON tailer tries to join: the v1 peer is refused without a
+// reply, and every v2 client sees identical events from one feed.
 func TestWireMixedVersionTail(t *testing.T) {
 	broker := stream.NewBroker()
 	defer broker.Close()
 	_, addr := startServer(t, broker, nil)
 
-	protos := []wire.Proto{wire.ProtoV1, wire.ProtoV2, wire.ProtoAuto}
-	wantVersion := []wire.Version{wire.V1, wire.V2, wire.V2}
-	clients := make([]*stream.Client, len(protos))
-	for i, p := range protos {
-		c, err := stream.DialProto(addr, wire.Subscribe{Name: p.String()}, p)
+	clients := make([]*stream.Client, 3)
+	for i := range clients {
+		c, err := stream.Dial(addr, wire.Subscribe{Name: fmt.Sprintf("tail-%d", i)})
 		if err != nil {
-			t.Fatalf("client %d (%s): %v", i, p, err)
+			t.Fatalf("client %d: %v", i, err)
 		}
 		defer c.Close()
-		if c.Protocol() != wantVersion[i] {
-			t.Fatalf("client %d negotiated %s, want %s", i, c.Protocol(), wantVersion[i])
-		}
 		clients[i] = c
 	}
+	legacy, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer legacy.Close()
+	if _, err := legacy.Write(v1Frame(t, wire.Subscribe{Op: wire.OpSubscribe, Name: "legacy"})); err != nil {
+		t.Fatal(err)
+	}
+	expectSilentClose(t, legacy)
 	waitForSubscriber(t, broker, len(clients))
+	if n := len(broker.Stats()); n != len(clients) {
+		t.Fatalf("%d subscribers registered, want %d (the v1 peer must not subscribe)", n, len(clients))
+	}
 
 	const events = 16
 	go func() {
@@ -67,8 +97,8 @@ func TestWireMixedVersionTail(t *testing.T) {
 	for ci := 1; ci < len(streams); ci++ {
 		for i := range streams[0] {
 			if streams[ci][i] != streams[0][i] {
-				t.Errorf("event %d diverges between %s and %s:\n %s\n %s",
-					i, protos[0], protos[ci], streams[0][i], streams[ci][i])
+				t.Errorf("event %d diverges between client 0 and client %d:\n %s\n %s",
+					i, ci, streams[0][i], streams[ci][i])
 			}
 		}
 	}
@@ -87,7 +117,7 @@ func TestWireV2BadSubscribeGetsEventError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	wc, err := wire.ClientV2(conn, nil)
+	wc, err := wire.Client(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +135,10 @@ func TestWireV2BadSubscribeGetsEventError(t *testing.T) {
 	}
 }
 
-// TestWireV1BadSubscribeStillSilent: a v1 peer never negotiated anything,
-// so the server cannot know the garbage was meant as a subscribe — the
-// pre-v2 behaviour (close without a reply) is preserved.
+// TestWireV1BadSubscribeStillSilent: a v1 peer never completes the
+// handshake, so the server cannot know its frame was meant as a subscribe
+// — it closes the connection without a reply, and the next v2 client is
+// served normally.
 func TestWireV1BadSubscribeStillSilent(t *testing.T) {
 	broker := stream.NewBroker()
 	defer broker.Close()
@@ -118,12 +149,20 @@ func TestWireV1BadSubscribeStillSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, "not a subscribe"); err != nil {
+	if _, err := conn.Write(v1Frame(t, wire.Subscribe{Op: wire.OpSubscribe, Name: "legacy"})); err != nil {
 		t.Fatal(err)
 	}
-	var ev wire.Event
-	if err := wire.ReadFrame(conn, &ev); err == nil {
-		t.Fatalf("v1 garbage got a reply frame: %+v", ev)
+	expectSilentClose(t, conn)
+
+	client, err := stream.Dial(addr, wire.Subscribe{Name: "next"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	waitForSubscriber(t, broker, 1)
+	broker.Publish(rec(3, "C9", "MVNG"))
+	if ev, err := client.Recv(); err != nil || ev.Record == nil || ev.Record.Seq != 3 {
+		t.Fatalf("v2 client after refused v1 peer: recv = %+v, %v", ev, err)
 	}
 }
 
@@ -155,7 +194,7 @@ func TestWireStreamCloseSeversPreSubscribeConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shaken.Close()
-	if _, err := wire.ClientV2(shaken, nil); err != nil {
+	if _, err := wire.Client(shaken, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +226,7 @@ func TestWireStreamDeadConnDuringNegotiation(t *testing.T) {
 	}
 	_ = dying.Close()
 
-	client, err := stream.DialProto(addr, wire.Subscribe{Name: "survivor"}, wire.ProtoV2)
+	client, err := stream.Dial(addr, wire.Subscribe{Name: "survivor"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +245,11 @@ func TestWireV2SnapshotThenFollow(t *testing.T) {
 	db, broker, addr := snapshotFixture(t)
 	defer broker.Close()
 
-	client, err := stream.DialProto(addr, wire.Subscribe{Snapshot: true, Policy: wire.PolicyBlock}, wire.ProtoV2)
+	client, err := stream.Dial(addr, wire.Subscribe{Snapshot: true, Policy: wire.PolicyBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Protocol() != wire.V2 {
-		t.Fatalf("negotiated %s, want v2", client.Protocol())
-	}
 	for want := uint64(0); want < 5; want++ {
 		ev, err := client.Recv()
 		if err != nil {

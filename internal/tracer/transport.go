@@ -36,10 +36,9 @@ type Transport interface {
 	Close() error
 }
 
-// TCPTransport is a Transport over a real TCP connection using the wire
-// protocol (v1 JSON or the negotiated v2 binary framing). Requests are
-// serialized: the middlebox protocol is strictly request/reply per
-// connection.
+// TCPTransport is a Transport over a real TCP connection using the binary
+// wire protocol. Requests are serialized: the middlebox protocol is
+// strictly request/reply per connection.
 type TCPTransport struct {
 	mu     sync.Mutex
 	conn   net.Conn
@@ -50,25 +49,14 @@ type TCPTransport struct {
 
 var _ Transport = (*TCPTransport)(nil)
 
-// DialTCP connects to a middlebox server over the v1 JSON protocol — the
-// unupgraded client an upgraded middlebox must keep serving.
+// DialTCP connects to a middlebox server and performs the wire handshake.
 func DialTCP(addr string) (*TCPTransport, error) {
-	return DialTCPProto(addr, wire.ProtoV1)
-}
-
-// DialTCPProto is DialTCP with an explicit protocol selector: wire.ProtoAuto
-// attempts the v2 binary handshake and falls back to v1, wire.ProtoV2 fails
-// unless the middlebox speaks the binary protocol.
-func DialTCPProto(addr string, proto wire.Proto) (*TCPTransport, error) {
-	conn, wc, err := wire.Dial(addr, proto, nil)
+	conn, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
 	if err != nil {
 		return nil, fmt.Errorf("tracer: dial middlebox %s: %w", addr, err)
 	}
 	return &TCPTransport{conn: conn, wc: wc}, nil
 }
-
-// Protocol reports the wire protocol version the transport negotiated.
-func (t *TCPTransport) Protocol() wire.Version { return t.wc.Version() }
 
 // RoundTrip implements Transport.
 func (t *TCPTransport) RoundTrip(req wire.Request) (wire.Reply, error) {

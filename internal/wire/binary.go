@@ -2,20 +2,20 @@ package wire
 
 // Protocol v2: the compact binary frame codec.
 //
-// v1 frames JSON through encoding/json on both ends; once the middlebox
-// exec path itself costs a few hundred nanoseconds, that marshalling is the
-// dominant per-request tax. v2 replaces it with a hand-rolled tagged binary
-// encoding that does zero reflection and (on the hot request/reply path)
-// ~zero allocations per frame:
+// Once the middlebox exec path itself costs a few hundred nanoseconds, the
+// frame codec is a dominant per-request tax, so the wire speaks a
+// hand-rolled tagged binary encoding that does zero reflection and (on the
+// hot request/reply path) ~zero allocations per frame — the stand-in for
+// the binary RPC framing the paper's gRPC transport uses:
 //
 //	frame   := uvarint(len) payload        // len ≤ MaxFrameSize
 //	payload := type field* [end]
 //	field   := tag value                   // value shape fixed per tag
 //
 // The type byte names the message (Request, Reply, Subscribe, Event);
-// fields carry explicit tags so zero-valued fields are simply omitted
-// (v1's omitempty, one byte instead of a quoted key) and decoding is a
-// tag-dispatch loop, never a reflected field walk. Nested messages — the
+// fields carry explicit tags so zero-valued fields are simply omitted (one
+// absent tag, like a JSON omitempty key) and decoding is a tag-dispatch
+// loop, never a reflected field walk. Nested messages — the
 // store.Record and power.Sample embedded in an Event — are tag streams
 // terminated by the reserved end tag 0; the top level needs no terminator
 // because the frame length delimits it.
@@ -24,10 +24,10 @@ package wire
 // zone offsets), length-prefixed UTF-8 bytes (strings), and raw
 // little-endian float64 bits (power samples). Timestamps travel as
 // UnixNano plus the zone offset in seconds, which preserves exactly what
-// v1's RFC 3339 round trip preserves: the instant and the offset, not the
-// zone name or the monotonic reading. Times outside the UnixNano range
-// (years ≲1678 or ≳2262) are not representable — device traces are always
-// inside it.
+// an RFC 3339 round trip (the JSONL export) preserves: the instant and the
+// offset, not the zone name or the monotonic reading. Times outside the
+// UnixNano range (years ≲1678 or ≳2262) are not representable — device
+// traces are always inside it.
 //
 // Decoding interns the protocol's fixed vocabulary — ops, event kinds,
 // policies, modes, procedure labels, and the 52-command device catalog —

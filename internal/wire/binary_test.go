@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,13 +16,24 @@ import (
 	"rad/internal/store"
 )
 
-// pair returns two Conns speaking version v to each other through in-memory
-// buffers: what cli writes, srv reads, and vice versa.
-func pair(v Version) (cli, srv *Conn) {
+// pair returns two Conns talking to each other through in-memory buffers:
+// what cli writes, srv reads, and vice versa.
+func pair() (cli, srv *Conn) {
 	var toSrv, toCli bytes.Buffer
-	cli = NewConn(rwPair{r: &toCli, w: &toSrv}, v, nil)
-	srv = NewConn(rwPair{r: &toSrv, w: &toCli}, v, nil)
+	cli = NewConn(rwPair{r: &toCli, w: &toSrv}, nil)
+	srv = NewConn(rwPair{r: &toSrv, w: &toCli}, nil)
 	return cli, srv
+}
+
+// v1Frame encodes v in the retired v1 framing — a 4-byte big-endian length
+// then JSON — to check that such bytes are refused.
+func v1Frame(t testing.TB, v any) []byte {
+	t.Helper()
+	payload, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
 type rwPair struct {
@@ -69,7 +81,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 	for _, in := range frames {
 		t.Run(fmt.Sprintf("%T", in), func(t *testing.T) {
-			cli, srv := pair(V2)
+			cli, srv := pair()
 			if err := cli.WriteFrame(in); err != nil {
 				t.Fatalf("WriteFrame: %v", err)
 			}
@@ -84,11 +96,11 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameTimeSemantics pins what the v2 time codec preserves: the
-// instant and the zone offset — exactly what v1's RFC 3339 round trip keeps.
+// TestBinaryFrameTimeSemantics pins what the time codec preserves: the
+// instant and the zone offset — exactly what an RFC 3339 round trip keeps.
 func TestBinaryFrameTimeSemantics(t *testing.T) {
 	in := time.Date(2021, 10, 1, 9, 30, 0, 123456789, time.FixedZone("PDT", -7*3600))
-	cli, srv := pair(V2)
+	cli, srv := pair()
 	if err := cli.WriteFrame(&Event{Kind: EventTrace, Record: &store.Record{Time: in}}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +131,7 @@ func TestBinaryFrameTimeSemantics(t *testing.T) {
 // TestBinaryFrameTypeMismatch: a frame decoded into the wrong message type
 // is a precise protocol error, not a half-filled struct.
 func TestBinaryFrameTypeMismatch(t *testing.T) {
-	cli, srv := pair(V2)
+	cli, srv := pair()
 	if err := cli.WriteFrame(Request{ID: 1, Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,34 +184,16 @@ func firstByte(b []byte) byte {
 	return b[0]
 }
 
-// TestWireCrossVersionBytes pins the failure mode each reader shows the
-// other protocol's bytes: deterministic, clean errors — never a hang, a
-// panic, or a giant allocation.
+// TestWireCrossVersionBytes pins what the reader makes of a retired v1
+// JSON frame: its 4-byte length header opens with 0x00 (MaxFrameSize fits
+// in three bytes), which the reader parses as a zero-length frame — a
+// clean, deterministic error, never a hang, a panic, or a giant
+// allocation.
 func TestWireCrossVersionBytes(t *testing.T) {
-	// A v2 frame's first byte is its uvarint payload length (>= 1), so a v1
-	// reader parses the first four bytes as a big-endian length >= 1<<24 and
-	// rejects the frame as oversized.
-	var v2bytes bytes.Buffer
-	v2conn := NewConn(&v2bytes, V2, nil)
-	if err := v2conn.WriteFrame(Request{ID: 1, Op: OpExec, Device: "C9", Name: "ARM"}); err != nil {
-		t.Fatal(err)
-	}
 	var req Request
-	err := ReadFrame(bytes.NewReader(v2bytes.Bytes()), &req)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("v1 reader on v2 bytes: err = %v, want ErrFrameTooLarge", err)
-	}
-
-	// A v1 frame opens with 0x00 (MaxFrameSize fits in three bytes), which a
-	// v2 reader parses as a zero-length frame: an empty-frame error.
-	var v1bytes bytes.Buffer
-	if err := WriteFrame(&v1bytes, Request{ID: 1, Op: OpExec}); err != nil {
-		t.Fatal(err)
-	}
-	v2reader := NewConn(bytes.NewBuffer(v1bytes.Bytes()), V2, nil)
-	err = v2reader.ReadFrame(&req)
+	err := NewConn(bytes.NewBuffer(v1Frame(t, Request{ID: 1, Op: OpExec})), nil).ReadFrame(&req)
 	if err == nil || !strings.Contains(err.Error(), "empty binary frame") {
-		t.Errorf("v2 reader on v1 bytes: err = %v, want empty-frame error", err)
+		t.Errorf("reader on v1 bytes: err = %v, want empty-frame error", err)
 	}
 }
 
@@ -253,92 +247,53 @@ func TestFrameGrowPathPowerOfTwo(t *testing.T) {
 }
 
 // TestFrameTooLargeAnnouncesSize pins the satellite fix to the error text:
-// the announced size appears in the message, for both protocol readers.
+// the announced size appears in the message.
 func TestFrameTooLargeAnnouncesSize(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+7)
 	var req Request
-	err := ReadFrame(bytes.NewReader(hdr[:]), &req)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
-	}
+	hdr := binary.AppendUvarint(nil, MaxFrameSize+7)
+	err := NewConn(bytes.NewBuffer(hdr), nil).ReadFrame(&req)
 	want := fmt.Sprintf("announced %d bytes", MaxFrameSize+7)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not carry the announced size %q", err, want)
-	}
-
-	v2hdr := binary.AppendUvarint(nil, MaxFrameSize+7)
-	v2conn := NewConn(bytes.NewBuffer(v2hdr), V2, nil)
-	err = v2conn.ReadFrame(&req)
 	if !errors.Is(err, ErrFrameTooLarge) || !strings.Contains(err.Error(), want) {
-		t.Errorf("v2 reader: err = %v, want ErrFrameTooLarge with %q", err, want)
+		t.Errorf("err = %v, want ErrFrameTooLarge with %q", err, want)
 	}
 }
 
-// TestWireV2OversizedWriteRejected: the v2 writer enforces MaxFrameSize on
-// the encoded payload just as the v1 writer does.
+// TestWireV2OversizedWriteRejected: the writer enforces MaxFrameSize on the
+// encoded payload.
 func TestWireV2OversizedWriteRejected(t *testing.T) {
 	var buf bytes.Buffer
-	c := NewConn(&buf, V2, nil)
+	c := NewConn(&buf, nil)
 	err := c.WriteFrame(Request{Value: strings.Repeat("x", MaxFrameSize+1)})
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("want ErrFrameTooLarge, got %v", err)
 	}
 }
 
-// TestWireV1ConnMatchesFreeFunctions: a V1 Conn emits byte-identical frames
-// to the pre-negotiation free functions — the compatibility the mixed-fleet
-// guarantee rests on.
-func TestWireV1ConnMatchesFreeFunctions(t *testing.T) {
-	req := Request{ID: 5, Op: OpExec, Device: "C9", Name: "ARM", Args: []string{"1", "2"}}
-	var viaConn, viaFree bytes.Buffer
-	if err := NewConn(&viaConn, V1, nil).WriteFrame(req); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&viaFree, req); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaConn.Bytes(), viaFree.Bytes()) {
-		t.Errorf("V1 Conn frame differs from free-function frame:\n% x\n% x",
-			viaConn.Bytes(), viaFree.Bytes())
-	}
-	var got Request
-	if err := ReadFrame(&viaConn, &got); err != nil {
-		t.Fatalf("free ReadFrame on Conn bytes: %v", err)
-	}
-}
-
 // BenchmarkWireExecV2 prices one full exec exchange — request encoded and
-// decoded, reply encoded and decoded — through both codecs over in-memory
-// connections, isolating the marshalling tax the v2 protocol removes. The
-// TCP round trip (socket included) is benchmarked in internal/tracer.
+// decoded, reply encoded and decoded — over in-memory connections,
+// isolating the codec's marshalling cost. The TCP round trip (socket
+// included) is benchmarked in internal/tracer.
 func BenchmarkWireExecV2(b *testing.B) {
 	req := Request{ID: 1, Op: OpExec, Device: "UR3e", Name: "move_joints",
 		Args: []string{"0.5", "-1.2", "0.8", "0.0", "1.1", "-0.3"}, Procedure: "P2", Run: "bench"}
 	rep := Reply{ID: 1, Value: "MVNG 0.5 -1.2 0.8 0.0 1.1 -0.3"}
-	for _, v := range []Version{V1, V2} {
-		name := map[Version]string{V1: "v1-json", V2: "v2-binary"}[v]
-		b.Run(name, func(b *testing.B) {
-			cli, srv := pair(v)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cli.WriteFrame(req); err != nil {
-					b.Fatal(err)
-				}
-				var gotReq Request
-				if err := srv.ReadFrame(&gotReq); err != nil {
-					b.Fatal(err)
-				}
-				if err := srv.WriteFrame(rep); err != nil {
-					b.Fatal(err)
-				}
-				var gotRep Reply
-				if err := cli.ReadFrame(&gotRep); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cli, srv := pair()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := cli.WriteFrame(req); err != nil {
+			b.Fatal(err)
+		}
+		var gotReq Request
+		if err := srv.ReadFrame(&gotReq); err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.WriteFrame(rep); err != nil {
+			b.Fatal(err)
+		}
+		var gotRep Reply
+		if err := cli.ReadFrame(&gotRep); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -346,21 +301,15 @@ func BenchmarkWireExecV2(b *testing.B) {
 // carrying a full record.
 func BenchmarkWireEventV2(b *testing.B) {
 	ev := Event{Kind: EventTrace, Record: sampleRecord()}
-	for _, v := range []Version{V1, V2} {
-		name := map[Version]string{V1: "v1-json", V2: "v2-binary"}[v]
-		b.Run(name, func(b *testing.B) {
-			cli, srv := pair(v)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cli.WriteFrame(ev); err != nil {
-					b.Fatal(err)
-				}
-				var got Event
-				if err := srv.ReadFrame(&got); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cli, srv := pair()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := cli.WriteFrame(ev); err != nil {
+			b.Fatal(err)
+		}
+		var got Event
+		if err := srv.ReadFrame(&got); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

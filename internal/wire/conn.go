@@ -1,36 +1,23 @@
 package wire
 
-// Version negotiation and the negotiated connection.
+// The connection preamble and the framed connection.
 //
-// A v2 client opens its connection with a five-byte preamble — the magic
+// A client opens its connection with a five-byte preamble — the magic
 // "RAD2" followed by the version byte — and waits for the server to echo
-// it before the first frame. A v1 client sends no preamble: its first
-// bytes are a 4-byte big-endian frame length, and because MaxFrameSize is
-// 1 MiB the first byte of any legal v1 frame is 0x00, which can never be
-// confused with the magic's 'R'. One peek at the first byte therefore
-// tells a listener which protocol the peer speaks, so a single listener
-// serves v1 JSON clients and v2 binary clients side by side, and an
-// unupgraded client keeps working against an upgraded middlebox with no
-// code change.
+// it before the first frame. Any other opening is refused before a single
+// frame is decoded: the listener drops the connection without a reply,
+// whether the peer sent a pre-binary JSON frame (whose 4-byte length
+// header starts 0x00), a future version byte, or noise. Keeping the
+// version byte lets a later protocol be refused just as cleanly.
 //
 //	client                         server
-//	  | 'R''A''D''2' 0x02  ----->   |    (v2 preamble)
+//	  | 'R''A''D''2' 0x02  ----->   |    (preamble)
 //	  |        <-----  'R''A''D''2' 0x02 (ack)
 //	  | binary frames  <---------> binary frames
-//
-//	client                         server
-//	  | 0x00 len³ json  ------->    |    (v1 frame, no preamble)
-//	  | json frames  <----------> json frames
-//
-// Dialing with ProtoAuto attempts the v2 handshake and falls back to a
-// fresh v1 connection when the ack never arrives — a JSON-only listener
-// reads the preamble as an absurd frame length and drops the connection,
-// which the dialer treats as "speak v1".
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -38,98 +25,47 @@ import (
 	"time"
 )
 
-// Version is a concrete wire protocol version carried by a negotiated
-// connection.
+// Version is a wire protocol version as carried in the preamble.
 type Version byte
 
-const (
-	// V1 is the original length-prefixed JSON framing.
-	V1 Version = 1
-	// V2 is the compact binary framing of binary.go.
-	V2 Version = 2
-)
+// V2 is the binary framing of binary.go, the only version spoken.
+const V2 Version = 2
 
-// String returns the version as spelled in flags and metrics labels.
-func (v Version) String() string {
-	switch v {
-	case V1:
-		return "v1"
-	case V2:
-		return "v2"
-	default:
-		return fmt.Sprintf("v%d", byte(v))
-	}
-}
+// String returns the version as spelled in metrics labels.
+func (v Version) String() string { return fmt.Sprintf("v%d", byte(v)) }
 
-// Proto selects which protocol(s) an endpoint is willing to speak. The
-// zero value is ProtoAuto: negotiate per connection.
-type Proto int
+// Proto is the protocol selector Dial accepts. V2 is the only protocol, so
+// ProtoV2 is the only value Dial does not refuse.
+type Proto = Version
 
-const (
-	// ProtoAuto negotiates: a listener sniffs each connection's first byte,
-	// a dialer attempts the v2 handshake and falls back to v1.
-	ProtoAuto Proto = iota
-	// ProtoV1 pins the endpoint to the v1 JSON framing.
-	ProtoV1
-	// ProtoV2 requires the binary framing; peers that do not speak it are
-	// rejected (listener) or the dial fails (client).
-	ProtoV2
-)
+// ProtoV2 selects the binary protocol.
+const ProtoV2 = V2
 
-// String returns the selector as spelled on CLI flags.
-func (p Proto) String() string {
-	switch p {
-	case ProtoV1:
-		return "v1"
-	case ProtoV2:
-		return "v2"
-	default:
-		return "auto"
-	}
-}
-
-// ParseProto parses a protocol selector flag value.
-func ParseProto(s string) (Proto, error) {
-	switch s {
-	case "", "auto":
-		return ProtoAuto, nil
-	case "v1", "json":
-		return ProtoV1, nil
-	case "v2", "binary":
-		return ProtoV2, nil
-	default:
-		return ProtoAuto, fmt.Errorf("wire: unknown protocol %q (want auto, v1, or v2)", s)
-	}
-}
-
-// preambleLen is the size of the v2 connection preamble: 4 magic bytes
-// plus the version byte.
+// preambleLen is the size of the connection preamble: 4 magic bytes plus
+// the version byte.
 const preambleLen = 5
 
-// preamble is the v2 connection opener and its ack: magic + version.
+// preamble is the connection opener and its ack: magic + version.
 var preamble = [preambleLen]byte{'R', 'A', 'D', '2', byte(V2)}
 
-// v2PrefixLen reserves room for the largest uvarint length prefix a legal
+// prefixLen reserves room for the largest uvarint length prefix a legal
 // frame can need (MaxFrameSize fits in 3 bytes; 5 leaves headroom).
-const v2PrefixLen = 5
+const prefixLen = 5
 
-// zeroPrefix is the placeholder the v2 encoder reserves for the length
+// zeroPrefix is the placeholder the encoder reserves for the length
 // prefix, patched after the payload is built.
-var zeroPrefix [v2PrefixLen]byte
+var zeroPrefix [prefixLen]byte
 
-// connBufSize sizes each connection's read buffer: most frames fit, and the
-// buffered reader also serves the one-byte protocol sniff.
+// connBufSize sizes each connection's read buffer: most frames fit.
 const connBufSize = 8 << 10
 
-// Conn is one negotiated wire connection: framed reads and writes in
-// whichever protocol version the handshake settled on. A Conn is not safe
-// for concurrent use of the same direction; the request/reply and tail
-// protocols already serialize each direction.
+// Conn is one wire connection: framed binary reads and writes. A Conn is
+// not safe for concurrent use of the same direction; the request/reply and
+// tail protocols already serialize each direction.
 type Conn struct {
-	w       io.Writer
-	br      *bufio.Reader
-	version Version
-	m       *Metrics
+	w  io.Writer
+	br *bufio.Reader
+	m  *Metrics
 
 	// vocab is this connection's learned-word intern table (tenant IDs and
 	// other open-vocabulary strings that repeat across frames). It is only
@@ -146,165 +82,77 @@ type Conn struct {
 	lastEnc time.Duration
 }
 
-// NewConn wraps rw speaking the given version directly, with no handshake
-// bytes exchanged — the building block for Accept/ClientV2, and for tests
-// and benchmarks that want a codec without a socket. m may be nil.
-func NewConn(rw io.ReadWriter, v Version, m *Metrics) *Conn {
-	return &Conn{w: rw, br: bufio.NewReaderSize(rw, connBufSize), version: v, m: m}
+// NewConn wraps rw as a framed connection with no handshake bytes
+// exchanged — the building block for Accept and Client, and for tests and
+// benchmarks that want a codec without a socket. m may be nil.
+func NewConn(rw io.ReadWriter, m *Metrics) *Conn {
+	return &Conn{w: rw, br: bufio.NewReaderSize(rw, connBufSize), m: m}
 }
 
 // Version reports the protocol version the connection speaks.
-func (c *Conn) Version() Version { return c.version }
+func (c *Conn) Version() Version { return V2 }
 
-// Accept negotiates the server side of a fresh connection. Under ProtoAuto
-// it peeks at the first byte: the v2 magic upgrades the connection (and is
-// acked), anything else is served as v1 JSON. ProtoV1 skips the sniff
-// entirely — bytes flow exactly as they did before v2 existed — and
-// ProtoV2 rejects peers that do not open with the preamble.
-func Accept(rw io.ReadWriter, allow Proto, m *Metrics) (*Conn, error) {
-	c := NewConn(rw, V1, m)
-	if allow == ProtoV1 {
-		c.countConn()
-		return c, nil
-	}
-	first, err := c.br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("wire: negotiate: %w", err)
-	}
-	if first[0] != preamble[0] {
-		if allow == ProtoV2 {
-			return nil, fmt.Errorf("wire: listener requires protocol v2, peer opened with byte %#02x (a v1 frame?)", first[0])
-		}
-		c.countConn()
-		return c, nil
-	}
+// Accept performs the server side of the handshake on a fresh connection:
+// it reads the five-byte preamble and echoes it. Any other opening is an
+// error, and the caller drops the connection without a reply.
+func Accept(rw io.ReadWriter, m *Metrics) (*Conn, error) {
+	c := NewConn(rw, m)
 	var pre [preambleLen]byte
 	if _, err := io.ReadFull(c.br, pre[:]); err != nil {
 		return nil, fmt.Errorf("wire: read preamble: %w", err)
 	}
-	if pre[0] != preamble[0] || pre[1] != preamble[1] || pre[2] != preamble[2] || pre[3] != preamble[3] {
+	if [4]byte(pre[:4]) != [4]byte(preamble[:4]) {
 		return nil, fmt.Errorf("wire: bad preamble magic %q", pre[:4])
 	}
 	if pre[4] != byte(V2) {
-		return nil, fmt.Errorf("wire: unsupported protocol version %d (max %d)", pre[4], V2)
+		return nil, fmt.Errorf("wire: unsupported protocol version %d (want %d)", pre[4], V2)
 	}
 	if _, err := rw.Write(preamble[:]); err != nil {
 		return nil, fmt.Errorf("wire: write preamble ack: %w", err)
 	}
-	c.version = V2
 	c.countConn()
 	return c, nil
 }
 
-// ClientV1 wraps rw as a plain v1 JSON connection; no handshake bytes are
-// exchanged, byte-for-byte identical to the pre-v2 protocol.
-func ClientV1(rw io.ReadWriter, m *Metrics) *Conn {
-	c := NewConn(rw, V1, m)
-	c.countConn()
-	return c
-}
-
-// ClientV2 performs the client side of the v2 handshake: preamble out,
-// ack in. The error distinguishes a dead connection from a server that
-// answered with something other than the ack.
-func ClientV2(rw io.ReadWriter, m *Metrics) (*Conn, error) {
-	c := NewConn(rw, V2, m)
+// Client performs the client side of the handshake: preamble out, ack in.
+// The error distinguishes a dead connection from a server that answered
+// with something other than the ack.
+func Client(rw io.ReadWriter, m *Metrics) (*Conn, error) {
+	c := NewConn(rw, m)
 	if _, err := rw.Write(preamble[:]); err != nil {
 		return nil, fmt.Errorf("wire: write preamble: %w", err)
 	}
 	var ack [preambleLen]byte
 	if _, err := io.ReadFull(c.br, ack[:]); err != nil {
-		return nil, fmt.Errorf("wire: v2 handshake: no preamble ack (v1-only listener?): %w", err)
+		return nil, fmt.Errorf("wire: handshake: no preamble ack: %w", err)
 	}
 	if ack != preamble {
-		return nil, fmt.Errorf("wire: v2 handshake: bad ack % x", ack[:])
+		return nil, fmt.Errorf("wire: handshake: bad ack % x", ack[:])
 	}
 	c.countConn()
 	return c, nil
 }
 
-// Dial connects to addr and negotiates the requested protocol. ProtoAuto
-// attempts the v2 handshake first and redials as v1 when the handshake
-// dies — the fate of a preamble sent to a JSON-only listener, which reads
-// it as an oversized frame header and closes the connection.
+// Dial connects to addr over TCP and performs the client handshake. proto
+// must be ProtoV2; any other version is refused before dialling.
 func Dial(addr string, proto Proto, m *Metrics) (net.Conn, *Conn, error) {
+	if proto != V2 {
+		return nil, nil, fmt.Errorf("wire: unsupported protocol %s (only %s)", proto, V2)
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch proto {
-	case ProtoV1:
-		return conn, ClientV1(conn, m), nil
-	case ProtoV2:
-		wc, err := ClientV2(conn, m)
-		if err != nil {
-			_ = conn.Close()
-			return nil, nil, err
-		}
-		return conn, wc, nil
-	default:
-		wc, err := ClientV2(conn, m)
-		if err == nil {
-			return conn, wc, nil
-		}
-		_ = conn.Close()
-		conn, err = net.Dial("tcp", addr)
-		if err != nil {
-			return nil, nil, err
-		}
-		return conn, ClientV1(conn, m), nil
-	}
-}
-
-// ReadFrame reads one frame in the connection's negotiated version and
-// decodes it into v.
-func (c *Conn) ReadFrame(v any) error {
-	if c.version == V2 {
-		return c.readV2(v)
-	}
-	if tf, ok := v.(*TailFrame); ok {
-		// v1 predates the liveness protocol, so the tail direction carries
-		// only events: the union degrades to its event arm.
-		ev := new(Event)
-		if err := c.readV1(ev); err != nil {
-			return err
-		}
-		*tf = TailFrame{Event: ev}
-		return nil
-	}
-	return c.readV1(v)
-}
-
-// WriteFrame encodes v in the connection's negotiated version and writes
-// it as one frame with a single Write call.
-func (c *Conn) WriteFrame(v any) error {
-	if c.version == V2 {
-		return c.writeV2(v)
-	}
-	switch v.(type) {
-	case *Ping, Ping, *Pong, Pong:
-		// Refused rather than marshalled: a v1 peer would decode the JSON
-		// into a kind-less Event and silently misread the probe.
-		return fmt.Errorf("wire: %T is a v2 control frame; v1 connections have no liveness protocol", v)
-	}
-	return c.writeV1(v)
-}
-
-func (c *Conn) readV1(v any) error {
-	pb, n, err := readPayload(c.br)
+	wc, err := Client(conn, m)
 	if err != nil {
-		return err
+		_ = conn.Close()
+		return nil, nil, err
 	}
-	defer putBuf(pb)
-	start := c.stamp()
-	if err := json.Unmarshal((*pb)[:n], v); err != nil {
-		return fmt.Errorf("wire: unmarshal frame: %w", err)
-	}
-	c.observeRead(start)
-	return nil
+	return conn, wc, nil
 }
 
-func (c *Conn) readV2(v any) error {
+// ReadFrame reads one frame and decodes it into v.
+func (c *Conn) ReadFrame(v any) error {
 	size, err := binary.ReadUvarint(c.br)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -329,26 +177,9 @@ func (c *Conn) readV2(v any) error {
 	return nil
 }
 
-func (c *Conn) writeV1(v any) error {
-	b := encPool.Get().(*encBuf)
-	defer func() {
-		if b.buf.Cap() <= pooledLimit {
-			encPool.Put(b)
-		}
-	}()
-	start := c.stamp()
-	frame, err := b.marshal(v)
-	if err != nil {
-		return err
-	}
-	c.observeWrite(start)
-	if _, err := c.w.Write(frame); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-func (c *Conn) writeV2(v any) error {
+// WriteFrame encodes v and writes it as one frame with a single Write
+// call.
+func (c *Conn) WriteFrame(v any) error {
 	pb := getBuf()
 	defer putBuf(pb)
 	start := c.stamp()
@@ -358,15 +189,15 @@ func (c *Conn) writeV2(v any) error {
 		return err
 	}
 	*pb = buf // keep any growth for the pool
-	n := len(buf) - v2PrefixLen
+	n := len(buf) - prefixLen
 	if n > MaxFrameSize {
 		return frameTooLarge(uint64(n))
 	}
 	// Patch the uvarint length into the tail of the reserved prefix so the
 	// frame goes out in one Write.
-	var tmp [v2PrefixLen]byte
+	var tmp [prefixLen]byte
 	ln := binary.PutUvarint(tmp[:], uint64(n))
-	off := v2PrefixLen - ln
+	off := prefixLen - ln
 	copy(buf[off:], tmp[:ln])
 	c.observeWrite(start)
 	if _, err := c.w.Write(buf[off:]); err != nil {
@@ -398,7 +229,7 @@ func (c *Conn) stamp() time.Time {
 
 func (c *Conn) countConn() {
 	if c.m != nil {
-		c.m.conns[c.version-V1].Inc()
+		c.m.conns.Inc()
 	}
 }
 
@@ -411,9 +242,8 @@ func (c *Conn) observeRead(start time.Time) {
 		c.lastDec = d
 	}
 	if c.m != nil {
-		i := c.version - V1
-		c.m.rx[i].Inc()
-		c.m.dec[i].Observe(d)
+		c.m.rx.Inc()
+		c.m.dec.Observe(d)
 	}
 }
 
@@ -426,8 +256,7 @@ func (c *Conn) observeWrite(start time.Time) {
 		c.lastEnc = d
 	}
 	if c.m != nil {
-		i := c.version - V1
-		c.m.tx[i].Inc()
-		c.m.enc[i].Observe(d)
+		c.m.tx.Inc()
+		c.m.enc.Observe(d)
 	}
 }

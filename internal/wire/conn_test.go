@@ -9,41 +9,16 @@ import (
 	"time"
 )
 
-func TestWireParseProto(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Proto
-		ok   bool
-	}{
-		{"", ProtoAuto, true}, {"auto", ProtoAuto, true},
-		{"v1", ProtoV1, true}, {"json", ProtoV1, true},
-		{"v2", ProtoV2, true}, {"binary", ProtoV2, true},
-		{"v3", ProtoAuto, false}, {"V2", ProtoAuto, false},
-	}
-	for _, tc := range cases {
-		got, err := ParseProto(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseProto(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if ProtoAuto.String() != "auto" || ProtoV1.String() != "v1" || ProtoV2.String() != "v2" {
-		t.Error("Proto.String round trip broken")
-	}
-	if V1.String() != "v1" || V2.String() != "v2" {
-		t.Error("Version.String round trip broken")
-	}
-}
-
-// handshake runs Accept(allow) on one end of a pipe and client on the other,
-// returning both negotiated Conns (or the server error).
-func handshake(t *testing.T, allow Proto, client func(net.Conn) (*Conn, error)) (cli, srv *Conn, srvErr error) {
+// handshake runs Accept on one end of a pipe and client on the other,
+// returning both Conns (or the server error).
+func handshake(t *testing.T, client func(net.Conn) (*Conn, error)) (cli, srv *Conn, srvErr error) {
 	t.Helper()
 	cliConn, srvConn := net.Pipe()
 	t.Cleanup(func() { cliConn.Close(); srvConn.Close() })
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv, srvErr = Accept(srvConn, allow, nil)
+		srv, srvErr = Accept(srvConn, nil)
 	}()
 	var err error
 	cli, err = client(cliConn)
@@ -58,118 +33,62 @@ func handshake(t *testing.T, allow Proto, client func(net.Conn) (*Conn, error)) 
 	return cli, srv, srvErr
 }
 
-func TestWireNegotiateV2UnderAuto(t *testing.T) {
-	cli, srv, err := handshake(t, ProtoAuto, func(c net.Conn) (*Conn, error) { return ClientV2(c, nil) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cli.Version() != V2 || srv.Version() != V2 {
-		t.Fatalf("negotiated %s/%s, want v2/v2", cli.Version(), srv.Version())
-	}
-	// A frame flows over the upgraded connection (pipe needs both sides live).
-	go func() { _ = cli.WriteFrame(Request{ID: 9, Op: OpPing}) }()
-	var req Request
-	if err := srv.ReadFrame(&req); err != nil || req.ID != 9 || req.Op != OpPing {
-		t.Fatalf("frame over negotiated v2: %+v, %v", req, err)
-	}
-}
-
-func TestWireNegotiateV1UnderAuto(t *testing.T) {
-	// A v1 client sends no preamble: its first bytes are a frame. The server
-	// must serve it unchanged, which is why the client's write is the
-	// handshake here.
-	cliConn, srvConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	type res struct {
-		srv *Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		srv, err := Accept(srvConn, ProtoAuto, nil)
-		ch <- res{srv, err}
-	}()
-	cli := ClientV1(cliConn, nil)
-	go func() { _ = cli.WriteFrame(Request{ID: 4, Op: OpPing}) }()
-	r := <-ch
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.srv.Version() != V1 {
-		t.Fatalf("negotiated %s, want v1", r.srv.Version())
-	}
-	var req Request
-	if err := r.srv.ReadFrame(&req); err != nil || req.ID != 4 {
-		t.Fatalf("v1 frame after sniff: %+v, %v", req, err)
-	}
-}
-
-func TestWireNegotiateRequiredV2RejectsV1(t *testing.T) {
+// acceptErr runs Accept against a peer that writes opening and returns
+// Accept's error.
+func acceptErr(t *testing.T, opening []byte) error {
+	t.Helper()
 	cliConn, srvConn := net.Pipe()
 	defer cliConn.Close()
 	defer srvConn.Close()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := Accept(srvConn, ProtoV2, nil)
+		_, err := Accept(srvConn, nil)
 		errCh <- err
 	}()
-	go func() { _ = WriteFrame(cliConn, Request{ID: 1, Op: OpPing}) }()
-	err := <-errCh
-	if err == nil || !strings.Contains(err.Error(), "requires protocol v2") {
-		t.Fatalf("v2-only listener accepting v1 bytes: err = %v", err)
+	go func() { _, _ = cliConn.Write(opening) }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept did not return")
+		return nil
 	}
 }
 
-func TestWireNegotiatePinnedV1SkipsSniff(t *testing.T) {
-	// Under ProtoV1 the server must not read (or wait for) any bytes before
-	// the first frame — byte flow identical to the pre-v2 protocol.
-	cliConn, srvConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	ch := make(chan *Conn, 1)
-	go func() {
-		srv, err := Accept(srvConn, ProtoV1, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		ch <- srv
-	}()
-	select {
-	case srv := <-ch:
-		if srv.Version() != V1 {
-			t.Fatalf("pinned v1 listener negotiated %s", srv.Version())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept(ProtoV1) waited for client bytes")
+func TestWireNegotiateV2UnderAuto(t *testing.T) {
+	cli, srv, err := handshake(t, func(c net.Conn) (*Conn, error) { return Client(c, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli.Version() != V2 || srv.Version() != V2 || V2.String() != "v2" {
+		t.Fatalf("handshake settled on %s/%s, want v2/v2", cli.Version(), srv.Version())
+	}
+	// A frame flows over the handshaken connection (pipe needs both sides live).
+	go func() { _ = cli.WriteFrame(Request{ID: 9, Op: OpPing}) }()
+	var req Request
+	if err := srv.ReadFrame(&req); err != nil || req.ID != 9 || req.Op != OpPing {
+		t.Fatalf("frame after handshake: %+v, %v", req, err)
+	}
+}
+
+// TestWireNegotiateRequiredV2RejectsV1: a pre-binary peer opens with a JSON
+// frame whose 4-byte length header starts 0x00; Accept refuses it before
+// decoding anything.
+func TestWireNegotiateRequiredV2RejectsV1(t *testing.T) {
+	err := acceptErr(t, v1Frame(t, Request{ID: 1, Op: OpPing}))
+	if err == nil || !strings.Contains(err.Error(), "bad preamble magic") {
+		t.Fatalf("Accept on a v1 JSON frame: err = %v", err)
 	}
 }
 
 func TestWireNegotiateBadVersionByte(t *testing.T) {
-	cliConn, srvConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := Accept(srvConn, ProtoAuto, nil)
-		errCh <- err
-	}()
-	go func() { _, _ = cliConn.Write([]byte{'R', 'A', 'D', '2', 99}) }()
-	err := <-errCh
-	if err == nil || !strings.Contains(err.Error(), "unsupported protocol version 99") {
+	if err := acceptErr(t, []byte{'R', 'A', 'D', '2', 99}); err == nil ||
+		!strings.Contains(err.Error(), "unsupported protocol version 99") {
 		t.Fatalf("future version byte: err = %v", err)
 	}
-
 	// Magic prefix right, magic tail wrong.
-	cliConn2, srvConn2 := net.Pipe()
-	defer cliConn2.Close()
-	defer srvConn2.Close()
-	go func() {
-		_, err := Accept(srvConn2, ProtoAuto, nil)
-		errCh <- err
-	}()
-	go func() { _, _ = cliConn2.Write([]byte{'R', 'O', 'G', 'U', 'E'}) }()
-	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "bad preamble magic") {
+	if err := acceptErr(t, []byte{'R', 'O', 'G', 'U', 'E'}); err == nil ||
+		!strings.Contains(err.Error(), "bad preamble magic") {
 		t.Fatalf("bad magic: err = %v", err)
 	}
 }
@@ -181,7 +100,7 @@ func TestWireNegotiateDeadConn(t *testing.T) {
 		cliConn, srvConn := net.Pipe()
 		errCh := make(chan error, 1)
 		go func() {
-			_, err := Accept(srvConn, ProtoAuto, nil)
+			_, err := Accept(srvConn, nil)
 			errCh <- err
 		}()
 		if sent > 0 {
@@ -202,10 +121,9 @@ func TestWireNegotiateDeadConn(t *testing.T) {
 	}
 }
 
-// v1OnlyListener is a pre-v2 middlebox stand-in: it reads length-prefixed
-// JSON frames directly off the socket and drops connections whose bytes do
-// not parse — exactly what an unupgraded deployment does with a preamble.
-func v1OnlyListener(t *testing.T) string {
+// listen serves each accepted connection with serve on a loopback listener
+// that lives as long as the test.
+func listen(t *testing.T, serve func(net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -220,58 +138,39 @@ func v1OnlyListener(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
-				for {
-					var req Request
-					if err := ReadFrame(conn, &req); err != nil {
-						return
-					}
-					if err := WriteFrame(conn, Reply{ID: req.ID, Value: "pong"}); err != nil {
-						return
-					}
-				}
+				serve(conn)
 			}()
 		}
 	}()
 	return ln.Addr().String()
 }
 
-// v2AwareListener serves both protocols via Accept, echoing pings.
-func v2AwareListener(t *testing.T, allow Proto) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// echoListener handshakes every connection and answers each request with
+// a pong.
+func echoListener(t *testing.T) string {
+	return listen(t, func(conn net.Conn) {
+		wc, err := Accept(conn, nil)
+		if err != nil {
+			return
+		}
+		for {
+			var req Request
+			if err := wc.ReadFrame(&req); err != nil {
+				return
+			}
+			if err := wc.WriteFrame(Reply{ID: req.ID, Value: "pong"}); err != nil {
+				return
+			}
+		}
+	})
+}
+
+func TestWireDialAutoUpgradesToV2(t *testing.T) {
+	conn, wc, err := Dial(echoListener(t), ProtoV2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				wc, err := Accept(conn, allow, nil)
-				if err != nil {
-					return
-				}
-				for {
-					var req Request
-					if err := wc.ReadFrame(&req); err != nil {
-						return
-					}
-					if err := wc.WriteFrame(Reply{ID: req.ID, Value: "pong"}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-func roundTripPing(t *testing.T, wc *Conn) {
-	t.Helper()
+	defer conn.Close()
 	if err := wc.WriteFrame(Request{ID: 1, Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,77 +180,45 @@ func roundTripPing(t *testing.T, wc *Conn) {
 	}
 }
 
-// TestWireDialAutoFallsBackToV1 dials a JSON-only listener with ProtoAuto:
-// the v2 handshake dies (the listener reads the preamble as an absurd frame
-// length and hangs up) and the dialer redials as v1, invisibly to the
-// caller.
-func TestWireDialAutoFallsBackToV1(t *testing.T) {
-	addr := v1OnlyListener(t)
-	conn, wc, err := Dial(addr, ProtoAuto, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if wc.Version() != V1 {
-		t.Fatalf("auto against v1-only listener negotiated %s", wc.Version())
-	}
-	roundTripPing(t, wc)
-}
-
-func TestWireDialAutoUpgradesToV2(t *testing.T) {
-	addr := v2AwareListener(t, ProtoAuto)
-	conn, wc, err := Dial(addr, ProtoAuto, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if wc.Version() != V2 {
-		t.Fatalf("auto against v2-aware listener negotiated %s", wc.Version())
-	}
-	roundTripPing(t, wc)
-}
-
+// TestWireDialRequiredV2AgainstV1OnlyFails dials a pre-binary listener
+// stand-in: it reads the preamble as a v1 frame header, finds an absurd
+// length, and hangs up without an ack. The dial must fail.
 func TestWireDialRequiredV2AgainstV1OnlyFails(t *testing.T) {
-	addr := v1OnlyListener(t)
+	addr := listen(t, func(conn net.Conn) {
+		var hdr [4]byte
+		_, _ = io.ReadFull(conn, hdr[:])
+	})
 	conn, _, err := Dial(addr, ProtoV2, nil)
 	if err == nil {
 		conn.Close()
-		t.Fatal("Dial(ProtoV2) against v1-only listener succeeded")
+		t.Fatal("Dial against a listener that never acks succeeded")
 	}
 }
 
-func TestWireDialPinnedV1AgainstUpgradedListener(t *testing.T) {
-	// The acceptance criterion in miniature: an unupgraded client against an
-	// upgraded listener, no code changes, same bytes, same answers.
-	addr := v2AwareListener(t, ProtoAuto)
-	conn, wc, err := Dial(addr, ProtoV1, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestWireDialRefusesOtherVersions: V2 is the only protocol, so Dial
+// refuses any other version before touching the network.
+func TestWireDialRefusesOtherVersions(t *testing.T) {
+	for _, v := range []Proto{0, 1, 3} {
+		if _, _, err := Dial("127.0.0.1:1", v, nil); err == nil || !strings.Contains(err.Error(), "unsupported protocol") {
+			t.Errorf("Dial(%s): err = %v, want an unsupported-protocol error", v, err)
+		}
 	}
-	defer conn.Close()
-	if wc.Version() != V1 {
-		t.Fatalf("pinned v1 dial negotiated %s", wc.Version())
-	}
-	roundTripPing(t, wc)
 }
 
-// TestWireV2ReadFrameEOF: a cleanly closed v2 connection yields bare io.EOF
-// from ReadFrame, same contract as the v1 reader.
+// TestWireV2ReadFrameEOF: a cleanly closed connection yields bare io.EOF
+// from ReadFrame.
 func TestWireV2ReadFrameEOF(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	go func() {
-		wc, err := ClientV2(cliConn, nil)
-		if err == nil {
-			_ = wc
-		}
+		_, _ = Client(cliConn, nil)
 		cliConn.Close()
 	}()
-	wc, err := Accept(srvConn, ProtoAuto, nil)
+	wc, err := Accept(srvConn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var req Request
 	if err := wc.ReadFrame(&req); !errors.Is(err, io.EOF) {
-		t.Fatalf("read on closed v2 conn: %v, want io.EOF", err)
+		t.Fatalf("read on closed conn: %v, want io.EOF", err)
 	}
 }

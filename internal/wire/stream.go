@@ -130,16 +130,14 @@ type Event struct {
 	// TraceID/SpanID carry the trace context of the exec that produced this
 	// event's record (internal/obs/span), so a tailer can stitch delivery
 	// into the originating request's tree. Zero means untraced; omitted from
-	// the frame entirely when zero, in both encodings.
+	// the frame entirely when zero.
 	TraceID uint64 `json:"traceId,omitempty"`
 	SpanID  uint64 `json:"spanId,omitempty"`
 }
 
-// Ping is a server → client liveness probe on a v2 tail connection; the
-// client answers with a Pong echoing the sequence number. v1 has no
-// liveness frames (its tail protocol predates them), which negotiation
-// already handles: a server only pings peers that completed the v2
-// handshake, and a v1 peer simply keeps the pre-heartbeat behaviour.
+// Ping is a server → client liveness probe on a tail connection; the
+// client answers with a Pong echoing the sequence number. A server only
+// pings when heartbeats are enabled (stream.Server.SetHeartbeat).
 type Ping struct {
 	Seq uint64 `json:"seq"`
 }
@@ -150,9 +148,7 @@ type Pong struct {
 }
 
 // TailFrame is what a tail client reads after subscribing: either an Event
-// or a liveness Ping (exactly one field is set). On a v1 connection only
-// events ever arrive, so decoding a TailFrame degrades to decoding an
-// Event.
+// or a liveness Ping (exactly one field is set).
 type TailFrame struct {
 	Event *Event
 	Ping  *Ping

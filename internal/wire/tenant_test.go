@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -15,9 +14,9 @@ import (
 // can assert two strings share one instance.
 func unsafeStringData(s string) *byte { return unsafe.StringData(s) }
 
-// TestWireTenantRoundTrip proves the tenant tag survives both encodings and
-// that the empty tenant — the value every pre-fleet peer sends — costs zero
-// bytes in both, so a v1 or v2 single-tenant peer's byte stream is unchanged.
+// TestWireTenantRoundTrip proves the tenant tag survives the codec and that
+// the empty tenant — the value every pre-fleet peer sends — costs zero
+// bytes, so a single-tenant peer's byte stream is unchanged.
 func TestWireTenantRoundTrip(t *testing.T) {
 	req := Request{ID: 7, Op: OpExec, Device: "C9", Name: "GetJointPosition", Tenant: "lab-042"}
 	sub := Subscribe{Op: OpSubscribe, Device: "C9", Tenant: "lab-042"}
@@ -50,23 +49,6 @@ func TestWireTenantRoundTrip(t *testing.T) {
 		}
 	})
 
-	t.Run("v1 json", func(t *testing.T) {
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(b, []byte(`"tenant":"lab-042"`)) {
-			t.Fatalf("tenant missing from v1 frame: %s", b)
-		}
-		var got Request
-		if err := json.Unmarshal(b, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Tenant != req.Tenant {
-			t.Fatalf("tenant = %q, want %q", got.Tenant, req.Tenant)
-		}
-	})
-
 	t.Run("empty tenant costs zero bytes", func(t *testing.T) {
 		bare := Request{ID: 7, Op: OpExec, Device: "C9", Name: "GetJointPosition"}
 		with, _ := appendBinaryFrame(nil, &bare)
@@ -75,10 +57,6 @@ func TestWireTenantRoundTrip(t *testing.T) {
 		again, _ := appendBinaryFrame(nil, &tagged)
 		if !bytes.Equal(with, again) {
 			t.Fatal("empty tenant changed the v2 byte stream")
-		}
-		b, _ := json.Marshal(bare)
-		if bytes.Contains(b, []byte("tenant")) {
-			t.Fatalf("empty tenant appears in v1 frame: %s", b)
 		}
 	})
 }
@@ -187,7 +165,7 @@ func TestWireTenantVocabOverlongWordNotRetained(t *testing.T) {
 	}
 }
 
-// TestWireTenantConnV2 drives the tenant tag through a real negotiated v2
+// TestWireTenantConnV2 drives the tenant tag through a real handshaken
 // connection pair, including the hostile case: a peer presenting more than
 // MaxConnVocab distinct tenants gets a decode error, severing it.
 func TestWireTenantConnV2(t *testing.T) {
@@ -197,7 +175,7 @@ func TestWireTenantConnV2(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		cc, err := ClientV2(client, nil)
+		cc, err := Client(client, nil)
 		if err != nil {
 			done <- err
 			return
@@ -211,12 +189,9 @@ func TestWireTenantConnV2(t *testing.T) {
 		done <- nil
 	}()
 
-	sc, err := Accept(server, ProtoAuto, nil)
+	sc, err := Accept(server, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sc.Version() != V2 {
-		t.Fatalf("negotiated %v, want v2", sc.Version())
 	}
 	var decodeErr error
 	n := 0

@@ -4,13 +4,13 @@
 // The paper's RATracer uses gRPC; this reproduction keeps the same
 // architecture — a client stub on the lab computer and a server on the
 // middlebox exchanging one message per device command — but implements the
-// transport with the standard library only: length-prefixed JSON frames over
-// a net.Conn. The frame format is
+// transport with the standard library only: a compact binary codec
+// (binary.go) over a net.Conn, opened by a five-byte version preamble
+// (conn.go). Every frame is
 //
-//	+----------------+-------------------+
-//	| 4-byte big-    | JSON payload      |
-//	| endian length  | (length bytes)    |
-//	+----------------+-------------------+
+//	+-------------------+----------------------+
+//	| uvarint length    | tagged binary payload |
+//	+-------------------+----------------------+
 //
 // Frames larger than MaxFrameSize are rejected on both ends so that a
 // corrupted or malicious peer cannot force unbounded allocation — the
@@ -19,12 +19,8 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"sync"
 )
@@ -35,7 +31,7 @@ import (
 const MaxFrameSize = 1 << 20
 
 // ErrFrameTooLarge is returned when an incoming frame header announces a
-// payload larger than MaxFrameSize. Errors produced by the frame readers
+// payload larger than MaxFrameSize. Errors produced by the frame reader
 // wrap it with the announced size, so a log line is enough to tell a
 // corrupted header (absurd size) from an oversized-but-real frame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
@@ -72,9 +68,9 @@ type Request struct {
 
 	// Tenant addresses one lab instance behind a fleet listener
 	// (internal/fleet). Empty — the zero value — means the listener's
-	// default tenant, so a single-tenant v1 or v2 peer that has never heard
-	// of tenancy keeps working unchanged: the field is omitted from the
-	// frame entirely when empty, in both encodings.
+	// default tenant, so a single-tenant peer that has never heard of
+	// tenancy keeps working unchanged: the field is omitted from the frame
+	// entirely when empty.
 	Tenant string `json:"tenant,omitempty"`
 
 	// DIRECT-mode trace uploads carry the locally observed outcome.
@@ -89,7 +85,7 @@ type Request struct {
 	// so the middlebox stitches its server-side spans under the caller's.
 	// Zero — the zero value — means "untraced", so peers that predate tracing
 	// interoperate unchanged: the pair is omitted from the frame entirely when
-	// zero, in both encodings, exactly like Tenant.
+	// zero, exactly like Tenant.
 	TraceID uint64 `json:"traceId,omitempty"`
 	SpanID  uint64 `json:"spanId,omitempty"`
 }
@@ -101,28 +97,13 @@ type Reply struct {
 	Error string `json:"error,omitempty"`
 }
 
-// pooledLimit caps how large a buffer the frame pools retain. Typical
+// pooledLimit caps how large a buffer the frame pool retains. Typical
 // frames are well under a kilobyte; a rare near-MaxFrameSize frame must not
 // pin a megabyte in every pool slot.
 const pooledLimit = 64 << 10
 
-// encBuf is a reusable encode buffer: the frame bytes plus a json.Encoder
-// permanently bound to them. Each WriteFrame builds the complete frame —
-// 4-byte header and JSON payload — in this one buffer and hands it to the
-// writer with a single Write.
-type encBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	b := &encBuf{}
-	b.enc = json.NewEncoder(&b.buf)
-	return b
-}}
-
-// bufPool holds raw payload buffers shared by the v1 frame reader and the
-// v2 binary codec (both directions).
+// bufPool holds the raw frame buffers the binary codec encodes into and
+// reads payloads into, in both directions.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
@@ -147,83 +128,4 @@ func sizeBuf(pb *[]byte, n int) []byte {
 		*pb = make([]byte, c)
 	}
 	return (*pb)[:n]
-}
-
-// marshal builds the complete v1 frame — 4-byte header plus JSON payload —
-// in b and returns it. The buffer is fully rewritten per frame, so pooled
-// reuse never leaks bytes from one frame into the next (fuzzed in
-// fuzz_test.go).
-func (b *encBuf) marshal(v any) ([]byte, error) {
-	b.buf.Reset()
-	b.buf.Write([]byte{0, 0, 0, 0}) // header placeholder, patched below
-	// Encoder.Encode produces json.Marshal's exact bytes plus a trailing
-	// newline, which the frame length excludes.
-	if err := b.enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("wire: marshal frame: %w", err)
-	}
-	n := b.buf.Len() - 4 - 1
-	if n > MaxFrameSize {
-		return nil, frameTooLarge(uint64(n))
-	}
-	frame := b.buf.Bytes()[:4+n]
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
-	return frame, nil
-}
-
-// WriteFrame marshals v as JSON and writes it as one length-prefixed v1
-// frame with a single Write call.
-func WriteFrame(w io.Writer, v any) error {
-	b := encPool.Get().(*encBuf)
-	defer func() {
-		if b.buf.Cap() <= pooledLimit {
-			encPool.Put(b)
-		}
-	}()
-	frame, err := b.marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-// readPayload reads one v1 length-prefixed payload into a pooled buffer and
-// returns the buffer holder plus the payload length. The caller must hand
-// the holder back with putBuf once it is done with (*pb)[:n].
-func readPayload(r io.Reader) (pb *[]byte, n int, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, fmt.Errorf("wire: read frame header: %w", err)
-	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > MaxFrameSize {
-		return nil, 0, frameTooLarge(uint64(size))
-	}
-	pb = getBuf()
-	payload := sizeBuf(pb, int(size))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		putBuf(pb)
-		return nil, 0, fmt.Errorf("wire: read frame payload: %w", err)
-	}
-	return pb, int(size), nil
-}
-
-// ReadFrame reads one length-prefixed v1 frame and unmarshals it into v.
-// The payload is read into a pooled buffer; encoding/json copies everything
-// it stores into v, so the buffer can be reused by the next frame.
-func ReadFrame(r io.Reader, v any) error {
-	pb, n, err := readPayload(r)
-	if err != nil {
-		return err
-	}
-	defer putBuf(pb)
-	if err := json.Unmarshal((*pb)[:n], v); err != nil {
-		return fmt.Errorf("wire: unmarshal frame: %w", err)
-	}
-	return nil
 }

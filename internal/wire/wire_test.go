@@ -5,10 +5,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// roundTrip writes v through a Conn and reads it back into out.
+func roundTrip(t *testing.T, v, out any) {
+	t.Helper()
+	var buf bytes.Buffer
+	c := NewConn(&buf, nil)
+	if err := c.WriteFrame(v); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	if err := c.ReadFrame(out); err != nil {
+		t.Fatalf("ReadFrame: %v", err)
+	}
+}
 
 func TestRoundTripRequest(t *testing.T) {
 	tests := []struct {
@@ -22,35 +36,19 @@ func TestRoundTripRequest(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, tt.req); err != nil {
-				t.Fatalf("WriteFrame: %v", err)
-			}
 			var got Request
-			if err := ReadFrame(&buf, &got); err != nil {
-				t.Fatalf("ReadFrame: %v", err)
-			}
-			if got.ID != tt.req.ID || got.Op != tt.req.Op || got.Device != tt.req.Device ||
-				got.Name != tt.req.Name || got.Value != tt.req.Value || got.Error != tt.req.Error {
+			roundTrip(t, tt.req, &got)
+			if !reflect.DeepEqual(got, tt.req) {
 				t.Errorf("round trip mismatch: got %+v want %+v", got, tt.req)
-			}
-			if len(got.Args) != len(tt.req.Args) {
-				t.Errorf("args length mismatch: got %d want %d", len(got.Args), len(tt.req.Args))
 			}
 		})
 	}
 }
 
 func TestRoundTripReply(t *testing.T) {
-	var buf bytes.Buffer
 	want := Reply{ID: 3, Value: "MVNG 0 0 0 0", Error: ""}
-	if err := WriteFrame(&buf, want); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
 	var got Reply
-	if err := ReadFrame(&buf, &got); err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
+	roundTrip(t, want, &got)
 	if got != want {
 		t.Errorf("got %+v want %+v", got, want)
 	}
@@ -58,14 +56,15 @@ func TestRoundTripReply(t *testing.T) {
 
 func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
+	c := NewConn(&buf, nil)
 	for i := uint64(0); i < 10; i++ {
-		if err := WriteFrame(&buf, Request{ID: i, Op: OpExec, Name: "Q"}); err != nil {
+		if err := c.WriteFrame(Request{ID: i, Op: OpExec, Name: "Q"}); err != nil {
 			t.Fatalf("WriteFrame %d: %v", i, err)
 		}
 	}
 	for i := uint64(0); i < 10; i++ {
 		var got Request
-		if err := ReadFrame(&buf, &got); err != nil {
+		if err := c.ReadFrame(&got); err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
 		if got.ID != i {
@@ -76,51 +75,62 @@ func TestMultipleFramesSequential(t *testing.T) {
 
 func TestReadFrameEOFOnEmpty(t *testing.T) {
 	var got Request
-	err := ReadFrame(bytes.NewReader(nil), &got)
+	err := NewConn(bytes.NewBuffer(nil), nil).ReadFrame(&got)
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("want io.EOF, got %v", err)
 	}
 }
 
+// TestReadFrameTruncatedPayload: a frame whose payload stops short of its
+// announced length is a read error, not a decode of the bytes that did
+// arrive.
 func TestReadFrameTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Request{ID: 1, Op: OpExec}); err != nil {
+	if err := NewConn(&buf, nil).WriteFrame(Request{ID: 1, Op: OpExec, Device: "C9"}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
 	var got Request
-	if err := ReadFrame(bytes.NewReader(trunc), &got); err == nil {
-		t.Error("want error on truncated payload, got nil")
+	err := NewConn(bytes.NewBuffer(trunc), nil).ReadFrame(&got)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("want io.ErrUnexpectedEOF on a truncated payload, got %v", err)
 	}
 }
 
+// TestReadFrameOversizedHeaderRejected pins the size gate's boundary: a
+// header announcing MaxFrameSize passes it (and then fails for want of
+// payload), one byte more is ErrFrameTooLarge before anything is read.
 func TestReadFrameOversizedHeaderRejected(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
 	var got Request
-	err := ReadFrame(bytes.NewReader(hdr[:]), &got)
+	err := NewConn(bytes.NewBuffer(binary.AppendUvarint(nil, MaxFrameSize)), nil).ReadFrame(&got)
+	if err == nil || errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("header at the limit: want a short-read error, got %v", err)
+	}
+	err = NewConn(bytes.NewBuffer(binary.AppendUvarint(nil, MaxFrameSize+1)), nil).ReadFrame(&got)
 	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("want ErrFrameTooLarge, got %v", err)
+		t.Errorf("header past the limit: want ErrFrameTooLarge, got %v", err)
 	}
 }
 
+// TestWriteFrameOversizedRejected: a frame refused for size puts no bytes
+// on the wire, so the connection stays in sync for the next frame.
 func TestWriteFrameOversizedRejected(t *testing.T) {
-	big := Request{ID: 1, Op: OpExec, Value: strings.Repeat("x", MaxFrameSize)}
-	err := WriteFrame(io.Discard, big)
+	var buf bytes.Buffer
+	c := NewConn(&buf, nil)
+	err := c.WriteFrame(Reply{ID: 1, Value: strings.Repeat("x", MaxFrameSize)})
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("want ErrFrameTooLarge, got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused frame wrote %d bytes", buf.Len())
 	}
 }
 
 func TestReadFrameGarbagePayload(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("this is not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
+	payload := []byte("this is not a frame")
+	frame := append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
 	var got Request
-	if err := ReadFrame(&buf, &got); err == nil {
+	if err := NewConn(bytes.NewBuffer(frame), nil).ReadFrame(&got); err == nil {
 		t.Error("want error on garbage payload, got nil")
 	}
 }
@@ -130,25 +140,20 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(id uint64, device, name, value, errStr string, args []string) bool {
 		in := Request{ID: id, Op: OpExec, Device: device, Name: name, Args: args, Value: value, Error: errStr}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, in); err != nil {
+		c := NewConn(&buf, nil)
+		if err := c.WriteFrame(in); err != nil {
 			// Only oversized frames may fail; those are outside quick's
 			// default value sizes.
 			return false
 		}
 		var out Request
-		if err := ReadFrame(&buf, &out); err != nil {
+		if err := c.ReadFrame(&out); err != nil {
 			return false
 		}
-		if out.ID != in.ID || out.Device != in.Device || out.Name != in.Name ||
-			out.Value != in.Value || out.Error != in.Error || len(out.Args) != len(in.Args) {
-			return false
+		if len(in.Args) == 0 {
+			in.Args = nil // the codec omits an empty slice
 		}
-		for i := range in.Args {
-			if out.Args[i] != in.Args[i] {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(out, in)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

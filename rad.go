@@ -259,40 +259,11 @@ type (
 	WireReply   = wire.Reply
 )
 
-// WireProto selects which wire protocol an endpoint speaks: WireProtoAuto
-// negotiates per connection (binary v2 preferred, v1 JSON fallback) while
-// WireProtoV1 and WireProtoV2 pin one version. WireVersion is the concrete
-// version a negotiated connection settled on.
-type (
-	WireProto   = wire.Proto
-	WireVersion = wire.Version
-)
-
-// Wire protocol selectors and versions.
-const (
-	WireProtoAuto = wire.ProtoAuto
-	WireProtoV1   = wire.ProtoV1
-	WireProtoV2   = wire.ProtoV2
-	WireV1        = wire.V1
-	WireV2        = wire.V2
-)
-
-// ParseWireProto parses a protocol flag value: auto, v1/json, or v2/binary.
-var ParseWireProto = wire.ParseProto
-
-// NewWireMetrics registers per-protocol frame counters and codec latency
-// histograms in a registry; MiddleboxServer.Observe and StreamServer.Observe
-// do this for their own listeners.
-var NewWireMetrics = wire.NewMetrics
-
 // NewTracingSession creates a session over a transport.
 var NewTracingSession = tracer.NewSession
 
-// DialMiddlebox connects to a middlebox server over TCP speaking v1 JSON.
+// DialMiddlebox connects to a middlebox server over TCP.
 var DialMiddlebox = tracer.DialTCP
-
-// DialMiddleboxProto is DialMiddlebox with an explicit protocol selector.
-var DialMiddleboxProto = tracer.DialTCPProto
 
 // NewLocalTransport builds an in-process transport to a middlebox core,
 // charging an emulated network profile to the injected clock.
@@ -427,11 +398,9 @@ type (
 var (
 	NewStreamServer = stream.NewServer
 	DialStream      = stream.Dial
-	// DialStreamProto is DialStream with an explicit wire protocol selector.
-	DialStreamProto = stream.DialProto
 )
 
-// StreamHeartbeat configures the stream server's liveness protocol: v2
+// StreamHeartbeat configures the stream server's liveness protocol: tail
 // connections are pinged every Interval and reaped when no pong arrives
 // within the grace window, so half-open subscribers stop holding rings and
 // goroutines. Apply with StreamServer.SetHeartbeat.
@@ -439,8 +408,8 @@ type StreamHeartbeat = stream.HeartbeatConfig
 
 // StreamResilientTail is the self-healing consumer: an auto-reconnecting
 // tail that tracks the last delivered sequence number, redials with
-// jittered exponential backoff (reproducible per seed), renegotiates the
-// wire protocol, and resumes from where it left off — exactly-once
+// jittered exponential backoff (reproducible per seed), redoes the wire
+// handshake, and resumes from where it left off — exactly-once
 // delivery across server restarts.
 type (
 	StreamResilientTail   = stream.ResilientTail
