@@ -347,7 +347,7 @@ func run(args []string, stop <-chan struct{}) error {
 		streamSrv = rad.NewStreamServer(broker, tdb)
 		streamSrv.SetSpans(spans)
 		if *heartbeat > 0 {
-			streamSrv.SetHeartbeat(rad.StreamHeartbeat{Interval: *heartbeat})
+			streamSrv.SetHeartbeat(*heartbeat)
 		}
 		if fleetRouter != nil {
 			streamSrv.SetTenantResolver(fleetRouter.ResolveStream)

@@ -76,13 +76,6 @@ func (c *C9) ClearFault() {
 	c.fault = ""
 }
 
-// Moving reports whether any axis is still in motion.
-func (c *C9) Moving() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.movingLocked()
-}
-
 func (c *C9) movingLocked() bool {
 	return c.env.Clock.Now().Before(c.moveUntil)
 }

@@ -107,10 +107,6 @@ type Tenant struct {
 	requests atomic.Uint64 // requests routed to this tenant
 }
 
-// Resources returns the tenant's initialized resources (nil if the factory
-// failed or has not finished).
-func (t *Tenant) Resources() *Resources { return t.res.Load() }
-
 // stripe is one shard of the tenant table.
 type stripe struct {
 	mu      sync.RWMutex

@@ -253,12 +253,6 @@ func (c *Core) Snapshot() Stats {
 	}
 }
 
-// Stats returns a snapshot of the request counters.
-//
-// Deprecated: use Snapshot, which this aliases. Stats survives only so
-// pre-PR-1 callers keep compiling.
-func (c *Core) Stats() Stats { return c.Snapshot() }
-
 // Handle processes one request and produces its reply. It implements the
 // middlebox protocol:
 //

@@ -180,7 +180,7 @@ func TestCoreStatsUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := core.Stats().Pings; got != 400 {
+	if got := core.Snapshot().Pings; got != 400 {
 		t.Errorf("pings = %d, want 400", got)
 	}
 }

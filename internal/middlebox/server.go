@@ -2,8 +2,6 @@ package middlebox
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -84,15 +82,11 @@ type Server struct {
 	profile NetworkProfile
 	wireM   *wire.Metrics
 	spans   *span.Recorder
+	idle    time.Duration
+	ln      wire.Listener
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	rng    *rand.Rand
-	closed bool
-	idle   time.Duration
-
-	wg sync.WaitGroup
+	rngMu sync.Mutex
+	rng   *rand.Rand
 }
 
 // NewServer wraps core with the given emulated network profile.
@@ -107,7 +101,6 @@ func NewHandlerServer(h Handler, profile NetworkProfile, seed uint64) *Server {
 	return &Server{
 		core:    h,
 		profile: profile,
-		conns:   make(map[net.Conn]struct{}),
 		rng:     rand.New(rand.NewPCG(seed, seed^0xa0761d6478bd642f)),
 	}
 }
@@ -126,11 +119,7 @@ func (s *Server) SetSpans(r *span.Recorder) { s.spans = r }
 
 // Draining reports whether Drain (or Close) has begun — the middlebox
 // contribution to a drain-aware /healthz.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) Draining() bool { return s.ln.Draining() }
 
 // SetIdleTimeout bounds how long a connection may sit silent — before its
 // handshake completes, or between requests — before it is reaped. The
@@ -143,57 +132,12 @@ func (s *Server) SetIdleTimeout(d time.Duration) { s.idle = d }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and begins serving in the
 // background. It returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("middlebox: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return "", errors.New("middlebox: server already closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Start(addr string) (string, error) { return s.ln.Start(addr, s.serveConn) }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	// The handshake is a read like any other: a peer that connects and then
 	// sends nothing (or half a preamble) is reaped by the idle deadline.
-	if !s.armIdle(conn) {
+	if !s.ln.Arm(conn, s.idle) {
 		return
 	}
 	wc, err := wire.Accept(conn, s.wireM)
@@ -204,7 +148,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		wc.CaptureCodecLatency()
 	}
 	for {
-		if !s.armIdle(conn) {
+		if !s.ln.Arm(conn, s.idle) {
 			return
 		}
 		var req wire.Request
@@ -253,26 +197,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// armIdle sets conn's idle read deadline before its next read, reporting
-// false once the server is closing. The closed check and the deadline
-// reset share the mutex with Drain, so a drain nudge (an expired read
-// deadline) can never be overwritten by this connection's own idle
-// deadline.
-func (s *Server) armIdle(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if s.idle > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.idle))
-	}
-	return true
-}
-
 func (s *Server) sampleDelay() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.rngMu.Lock()
+	defer s.rngMu.Unlock()
 	return s.profile.Delay(s.rng)
 }
 
@@ -284,63 +211,14 @@ func (s *Server) sleep(d time.Duration) {
 
 // Close stops the listener, closes all live connections, and waits for the
 // connection goroutines to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.ln.Close() }
 
 // Drain is graceful shutdown: stop accepting, let every in-flight request
 // finish and its reply flush, then close. Idle connections are nudged with
-// an expired read deadline (which ends their blocked ReadFrame without
-// touching the write direction, so a reply mid-flight still goes out), and
-// the connection goroutines are awaited up to ctx's deadline, after which
-// the stragglers are severed Close-style and Drain returns ctx.Err()
-// without waiting further (a Handler stuck in user code cannot be
-// unblocked by a dead socket; like net/http's Shutdown, its goroutine is
-// abandoned to finish on its own). Returns nil when everything flushed in
-// time. Close afterwards is a harmless no-op that waits for any
-// stragglers.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn := range s.conns {
-		_ = conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
-}
+// an expired read deadline; stragglers past ctx's deadline are severed and
+// Drain returns ctx.Err() (see wire.Listener.Drain). Close afterwards is a
+// harmless no-op that waits for any stragglers.
+func (s *Server) Drain(ctx context.Context) error { return s.ln.Drain(ctx) }
 
 // ensure interface-style usage stays honest.
 var _ io.Closer = (*Server)(nil)

@@ -179,34 +179,80 @@ func TestServerResumeBeforeFloorDegrades(t *testing.T) {
 
 // TestHeartbeatReapsSilentSubscriber: a raw v2 subscriber that never
 // answers pings is declared half-open and reaped — its ring, metrics
-// child, and goroutines go with it.
+// child, and goroutines go with it. The same deadline covers negotiation:
+// a peer that stalls before its Subscribe frame is closed too, without
+// ever receiving an event.
 func TestHeartbeatReapsSilentSubscriber(t *testing.T) {
+	const interval = 20 * time.Millisecond
 	broker := stream.NewBroker()
 	defer broker.Close()
 	srv := stream.NewServer(broker, nil)
-	srv.SetHeartbeat(stream.HeartbeatConfig{Interval: 20 * time.Millisecond})
+	srv.SetHeartbeat(interval)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// A raw wire conn, not a stream.Client: it subscribes and then goes
-	// silent — no pongs, no reads. Only the heartbeat can detect this.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("subscribed then mute", func(t *testing.T) {
+		// A raw wire conn, not a stream.Client: it subscribes and then goes
+		// silent — no pongs, no reads. Only the heartbeat can detect this.
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		wc, err := wire.Client(nc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wc.WriteFrame(wire.Subscribe{Op: wire.OpSubscribe, Name: "mute"}); err != nil {
+			t.Fatal(err)
+		}
+		waitForSubscriber(t, broker, 1)
+		waitForNoSubscribers(t, broker)
+	})
+
+	preamble := []byte{'R', 'A', 'D', '2', byte(wire.V2)}
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+		ack     []byte // what the server may send before closing
+	}{
+		{"silent before the handshake", nil, nil},
+		{"partial preamble", []byte("RA"), nil},
+		{"preamble without a subscribe", preamble, preamble},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := nc.Write(tc.opening); err != nil {
+				t.Fatal(err)
+			}
+			// Ten heartbeat deadlines (2x the interval each) is ample; a
+			// timeout on our side means the server never closed the conn.
+			_ = nc.SetReadDeadline(time.Now().Add(20 * interval))
+			var got []byte
+			buf := make([]byte, 64)
+			for {
+				n, err := nc.Read(buf)
+				got = append(got, buf[:n]...)
+				if err == nil {
+					continue
+				}
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Fatalf("stalled peer never closed (read %q)", got)
+				}
+				break // EOF or reset: the server closed the connection
+			}
+			if string(got) != string(tc.ack) {
+				t.Fatalf("stalled peer received %q, want %q and no event frame", got, tc.ack)
+			}
+		})
 	}
-	defer nc.Close()
-	wc, err := wire.Client(nc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.WriteFrame(wire.Subscribe{Op: wire.OpSubscribe, Name: "mute"}); err != nil {
-		t.Fatal(err)
-	}
-	waitForSubscriber(t, broker, 1)
-	waitForNoSubscribers(t, broker)
 }
 
 // TestHeartbeatPongingClientStaysAlive: a stream.Client auto-answers pings
@@ -216,7 +262,7 @@ func TestHeartbeatPongingClientStaysAlive(t *testing.T) {
 	broker := stream.NewBroker()
 	defer broker.Close()
 	srv := stream.NewServer(broker, nil)
-	srv.SetHeartbeat(stream.HeartbeatConfig{Interval: 10 * time.Millisecond})
+	srv.SetHeartbeat(10 * time.Millisecond)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +395,7 @@ func TestReconnectChurnUnregistersSubscriberMetrics(t *testing.T) {
 	defer broker.Close()
 	broker.Observe(reg)
 	srv := stream.NewServer(broker, nil)
-	srv.SetHeartbeat(stream.HeartbeatConfig{Interval: 20 * time.Millisecond})
+	srv.SetHeartbeat(20 * time.Millisecond)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +484,7 @@ func TestServerDrainNoGoroutineLeak(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		broker := stream.NewBroker()
 		srv := stream.NewServer(broker, nil)
-		srv.SetHeartbeat(stream.HeartbeatConfig{Interval: 10 * time.Millisecond})
+		srv.SetHeartbeat(10 * time.Millisecond)
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -34,7 +34,7 @@ func benchTailDelivery(b *testing.B, heartbeat time.Duration, open func(addr str
 	broker.AttachStore(db)
 	srv := stream.NewServer(broker, db)
 	if heartbeat > 0 {
-		srv.SetHeartbeat(stream.HeartbeatConfig{Interval: heartbeat})
+		srv.SetHeartbeat(heartbeat)
 	}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

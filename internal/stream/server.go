@@ -31,17 +31,8 @@ type Server struct {
 	wireM    *wire.Metrics
 	spans    *span.Recorder
 	resolver TenantResolver // nil: single-tenant listener
-	hb       HeartbeatConfig
-
-	mu sync.Mutex
-	ln net.Listener
-	// conns tracks every accepted connection from the moment it lands —
-	// value nil until its subscription attaches — so Close can sever a
-	// client that dies (or stalls) mid-negotiation instead of waiting on
-	// it forever.
-	conns  map[net.Conn]*Subscriber
-	closed bool
-	wg     sync.WaitGroup
+	hb       time.Duration  // heartbeat interval; zero: no heartbeats
+	ln       wire.Listener
 }
 
 // maxSubscriberBuffer caps a client-requested ring so one tail cannot pin
@@ -51,7 +42,7 @@ const maxSubscriberBuffer = 1 << 16
 // NewServer wraps broker; db (which may be nil) serves Subscribe.Snapshot
 // replays.
 func NewServer(broker *Broker, db *tracedb.DB) *Server {
-	return &Server{broker: broker, db: db, conns: make(map[net.Conn]*Subscriber)}
+	return &Server{broker: broker, db: db}
 }
 
 // Observe registers wire metrics in reg (shared with any other listener
@@ -65,11 +56,7 @@ func (s *Server) SetSpans(r *span.Recorder) { s.spans = r }
 
 // Draining reports whether Drain (or Close) has begun — the stream
 // listener's contribution to a drain-aware /healthz.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) Draining() bool { return s.ln.Draining() }
 
 // TenantResolver maps a tenant-tagged Subscribe frame to that tenant's
 // broker and snapshot store (db may be nil: snapshot-then-follow disabled
@@ -83,97 +70,47 @@ type TenantResolver func(tenant string) (*Broker, *tracedb.DB, error)
 // broker — a pre-fleet tailer needs no change. Call before Start.
 func (s *Server) SetTenantResolver(r TenantResolver) { s.resolver = r }
 
-// HeartbeatConfig parameterizes connection liveness supervision.
-type HeartbeatConfig struct {
-	// Interval between server → client pings. Zero disables heartbeats
-	// (the pre-liveness behaviour).
-	Interval time.Duration
-	// Timeout is the extra grace beyond Interval the server allows for the
-	// pong before declaring the connection half-open and reaping it;
-	// non-positive defaults to Interval.
-	Timeout time.Duration
-}
-
-// grace returns the effective pong deadline slack.
-func (hb HeartbeatConfig) grace() time.Duration {
-	if hb.Timeout > 0 {
-		return hb.Timeout
-	}
-	return hb.Interval
-}
-
 // SetHeartbeat enables liveness probing of tail connections: every
-// Interval the server pings, and a connection that fails to pong within
-// Interval+Timeout is reaped — its subscriber detached, its metrics
+// interval the server pings, and a connection that fails to pong within
+// twice the interval is reaped — its subscriber detached, its metrics
 // unregistered, its goroutines collected — instead of holding a slot until
-// the next write discovers the corpse. With heartbeats off (the default)
-// a connection is watched passively instead: any read completing means the
+// the next write discovers the corpse. The same deadline bounds the
+// handshake and the Subscribe frame, so a peer that connects and stalls
+// before subscribing is reaped too. With heartbeats off (the default) a
+// connection is watched passively instead: any read completing means the
 // peer is gone. Call before Start.
-func (s *Server) SetHeartbeat(hb HeartbeatConfig) { s.hb = hb }
+func (s *Server) SetHeartbeat(interval time.Duration) { s.hb = interval }
+
+// deadline is how long a read may block under the heartbeat regime: the
+// interval plus an equal grace for the pong. Zero with heartbeats off.
+func (s *Server) deadline() time.Duration { return 2 * s.hb }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the background,
 // returning the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("stream: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return "", errors.New("stream: server already closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = nil // tracked before negotiation; see Server.conns
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Start(addr string) (string, error) { return s.ln.Start(addr, s.serveConn) }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
+	// Negotiation is bounded by the heartbeat deadline: a peer that stalls
+	// before its Subscribe frame is reaped like one that misses a pong.
+	if !s.ln.Arm(conn, s.deadline()) {
+		return
+	}
 	wc, err := wire.Accept(conn, s.wireM)
 	if err != nil {
-		return // dead or protocol-confused peer: nothing to tell anyone
+		return // dead, stalled or protocol-confused peer: nothing to tell anyone
 	}
 	var req wire.Subscribe
 	if err := wc.ReadFrame(&req); err != nil {
-		if !errors.Is(err, io.EOF) {
+		if !connFailed(err) {
 			// The peer completed the handshake, so it can decode an error
 			// frame: report the malformed subscribe precisely instead of
 			// closing silently.
 			_ = wc.WriteFrame(wire.Event{Kind: wire.EventError,
 				Error: fmt.Sprintf("stream: bad subscribe frame: %v", err)})
 		}
+		return
+	}
+	if !s.ln.Arm(conn, 0) { // negotiated: the supervisor owns reads from here
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -231,11 +168,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	sub := broker.Subscribe(opts)
-	if !s.track(conn, sub) {
-		sub.Close()
+	defer sub.Close()
+	if !s.ln.OnDrain(conn, sub.Close) {
 		return
 	}
-	defer s.untrack(conn, sub)
 	s.supervise(conn, wc, tc, sub)
 	s.pump(tc, sub, 0)
 }
@@ -265,7 +201,7 @@ func (tc *tailConn) write(v any) error {
 // the next write. With heartbeats off the passive watcher runs instead:
 // any read completing means the conversation is over.
 func (s *Server) supervise(conn net.Conn, wc *wire.Conn, tc *tailConn, sub *Subscriber) {
-	if s.hb.Interval > 0 {
+	if s.hb > 0 {
 		s.superviseHeartbeat(conn, wc, tc, sub)
 		return
 	}
@@ -280,40 +216,32 @@ func (s *Server) supervise(conn net.Conn, wc *wire.Conn, tc *tailConn, sub *Subs
 // registered (and a Block-policy ring able to stall the producer)
 // indefinitely.
 func (s *Server) watchConn(conn net.Conn, sub *Subscriber) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
+	s.ln.Go(func() {
 		var buf [1]byte
 		_, _ = conn.Read(buf[:])
-		sub.Close() // wakes the pump's Recv; untrack detaches the ring
-	}()
+		sub.Close() // wakes the pump's Recv and detaches the ring
+	})
 }
 
 // superviseHeartbeat runs the active liveness pair for one connection:
 // a pinger writing probes every interval and a reader that demands each
-// pong inside interval+grace. Either side failing reaps the subscriber at
-// that moment — the reap point where the ring detaches and (through
-// detach) its per-subscriber obs metrics unregister.
+// pong inside the heartbeat deadline. Either side failing reaps the
+// subscriber at that moment — the reap point where the ring detaches and
+// (through detach) its per-subscriber obs metrics unregister.
 func (s *Server) superviseHeartbeat(conn net.Conn, wc *wire.Conn, tc *tailConn, sub *Subscriber) {
-	hb := s.hb
-	deadline := hb.Interval + hb.grace()
 	done := make(chan struct{})
-	s.wg.Add(2)
-	go func() { // reader: the client's only legal frames after Subscribe are pongs
-		defer s.wg.Done()
+	s.ln.Go(func() { // reader: the client's only legal frames after Subscribe are pongs
 		defer close(done)
 		defer sub.Close()
-		for {
-			_ = conn.SetReadDeadline(time.Now().Add(deadline))
+		for s.ln.Arm(conn, s.deadline()) {
 			var pong wire.Pong
 			if err := wc.ReadFrame(&pong); err != nil {
 				return // timeout (half-open), EOF, or a protocol violation
 			}
 		}
-	}()
-	go func() { // pinger
-		defer s.wg.Done()
-		t := time.NewTicker(hb.Interval)
+	})
+	s.ln.Go(func() { // pinger
+		t := time.NewTicker(s.hb)
 		defer t.Stop()
 		var seq uint64
 		for {
@@ -328,7 +256,7 @@ func (s *Server) superviseHeartbeat(conn net.Conn, wc *wire.Conn, tc *tailConn, 
 				return
 			}
 		}
-	}()
+	})
 }
 
 // serveTail runs the snapshot-then-follow protocol: history, the
@@ -340,10 +268,9 @@ func (s *Server) serveTail(conn net.Conn, wc *wire.Conn, tc *tailConn, broker *B
 	// mid-snapshot abandons the iterator, and an unreleased iterator pins
 	// segment files the lifecycle engine has retired.
 	defer tail.Close()
-	if !s.track(conn, tail.Subscriber()) {
+	if !s.ln.OnDrain(conn, tail.Subscriber().Close) {
 		return
 	}
-	defer s.untrack(conn, tail.Subscriber())
 	s.supervise(conn, wc, tc, tail.Subscriber())
 
 	err := tail.Snapshot(func(r store.Record) error {
@@ -421,91 +348,25 @@ func (s *Server) writeEvent(tc *tailConn, ev Event, sub *Subscriber, reported *u
 	return err
 }
 
-// track registers a connection's subscriber for shutdown; it reports false
-// when the server is already closed.
-func (s *Server) track(conn net.Conn, sub *Subscriber) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[conn] = sub
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn, sub *Subscriber) {
-	sub.Close()
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
 // Close stops the listener, closes every live tail, and waits for the
 // connection goroutines to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn, sub := range s.conns {
-		if sub != nil {
-			sub.Close() // unblocks Recv
-		}
-		// A nil sub is a connection still negotiating or awaiting its
-		// subscribe frame; closing the conn unblocks that read.
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.ln.Close() }
 
 // Drain is graceful shutdown: stop accepting, detach every subscriber from
 // its broker (no new events enter the rings), let each pump flush its
 // already-buffered events to its client, and wait for the connection
 // goroutines — up to ctx's deadline, after which the remaining connections
-// are severed Close-style. It returns nil when every tail flushed in time,
-// ctx.Err() otherwise. Close afterwards is a harmless no-op.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn, sub := range s.conns {
-		if sub != nil {
-			// Detaching (not severing) lets Recv drain the ring: the pump
-			// writes out the buffered backlog, then exits on ring empty.
-			sub.Close()
-		} else {
-			// Still negotiating: nothing buffered to flush.
-			_ = conn.Close()
-		}
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
+// are severed Close-style. A connection still negotiating has nothing to
+// flush and is nudged off its read. It returns nil when every tail flushed
+// in time, ctx.Err() otherwise. Close afterwards is a harmless no-op.
+func (s *Server) Drain(ctx context.Context) error { return s.ln.Drain(ctx) }
+
+// connFailed reports whether a read error is the connection failing — EOF,
+// a deadline, a closed or reset socket — rather than a frame that arrived
+// and failed to decode.
+func connFailed(err error) bool {
+	var ne net.Error
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne)
 }
 
 // subOptions maps a validated Subscribe frame onto broker options.

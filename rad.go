@@ -61,9 +61,6 @@ type Clock = simclock.Clock
 // RealClock is the wall clock.
 type RealClock = simclock.Real
 
-// VirtualClock is a deterministic clock that advances only on Sleep/Advance.
-type VirtualClock = simclock.Virtual
-
 // NewVirtualClock returns a virtual clock starting at the given instant.
 var NewVirtualClock = simclock.NewVirtual
 
@@ -72,9 +69,6 @@ var NewVirtualClock = simclock.NewVirtual
 // Middlebox is the trusted middlebox core of Fig. 1: device registry,
 // command execution, and trace logging.
 type Middlebox = middlebox.Core
-
-// MiddleboxServer serves a Middlebox over TCP.
-type MiddleboxServer = middlebox.Server
 
 // NetworkProfile emulates the lab network (LANProfile) or a cloud WAN
 // (CloudProfile) between the lab computer and the middlebox.
@@ -115,22 +109,8 @@ type FaultProfile = fault.Profile
 // key=value overrides (e.g. "flaky,hang=0.01,hangfor=30s").
 var ParseFaultProfile = fault.ParseProfile
 
-// FlakyFaults and ChaosFaults are the built-in fault profiles; NoFaults is
-// the transparent one.
-var (
-	NoFaults    = fault.None
-	FlakyFaults = fault.Flaky
-	ChaosFaults = fault.Chaos
-)
-
-// FaultyDevice and FlakySink wrap a device / trace sink with seeded,
-// reproducible fault injection.
-type (
-	FaultyDevice = fault.FaultyDevice
-	FlakySink    = fault.FlakySink
-)
-
-// WrapFaultyDevice and WrapFlakySink build the injectors.
+// WrapFaultyDevice and WrapFlakySink wrap a device / trace sink with
+// seeded, reproducible fault injection.
 var (
 	WrapFaultyDevice = fault.WrapDevice
 	WrapFlakySink    = fault.WrapSink
@@ -142,18 +122,9 @@ var (
 // single-attempt path.
 type ExecPolicy = middlebox.ExecPolicy
 
-// BreakerConfig tunes a per-device circuit breaker; Resilience and
-// BreakerStats surface the hardened path's activity in Middlebox.Snapshot.
-type (
-	BreakerConfig = fault.BreakerConfig
-	Resilience    = middlebox.Resilience
-	BreakerStats  = fault.BreakerStats
-)
-
-// IsInfraError reports whether an error is an infrastructure failure
-// (injected fault, exec deadline, serial timeout, dead link) rather than a
-// device-reported command error.
-var IsInfraError = fault.IsInfra
+// BreakerConfig tunes a per-device circuit breaker; its activity surfaces
+// in Middlebox.Snapshot.
+type BreakerConfig = fault.BreakerConfig
 
 // DeadLetterQueue is the disk-backed spill area FailoverSink writes
 // refused trace batches to; TraceDB.Reingest folds it back in.
@@ -170,12 +141,8 @@ type FailoverSink = store.FailoverSink
 var NewFailoverSink = store.NewFailoverSink
 
 // OpenTenantDLQ opens a tenant's dead-letter directory namespaced under a
-// shared root (root/tenants/<id>); ValidTenantID is the path-safe tenant
-// alphabet every fleet entry point enforces.
-var (
-	OpenTenantDLQ = store.OpenTenantDLQ
-	ValidTenantID = store.ValidTenantID
-)
+// shared root (root/tenants/<id>).
+var OpenTenantDLQ = store.OpenTenantDLQ
 
 // --- Fleet mode (internal/fleet) ---
 
@@ -186,18 +153,10 @@ var (
 type FleetRouter = fleet.Router
 
 // FleetConfig parameterizes a router; FleetResources is everything one
-// tenant lab owns; FleetTenant is one instantiated lab.
+// tenant lab owns.
 type (
 	FleetConfig    = fleet.Config
 	FleetResources = fleet.Resources
-	FleetTenant    = fleet.Tenant
-)
-
-// FleetStats is a point-in-time fleet snapshot; FleetTenantStats is one
-// lab's slice of it.
-type (
-	FleetStats       = fleet.Stats
-	FleetTenantStats = fleet.TenantStats
 )
 
 // NewFleetRouter builds a fleet router.
@@ -210,32 +169,20 @@ const (
 	FleetDefaultMaxTenants = fleet.DefaultMaxTenants
 )
 
-// FleetCampaign drives hundreds of concurrent tenant workloads through one
-// router, each lab on its own virtual clock with a seed derived purely from
-// (campaign seed, tenant ID) — byte-reproducible under any interleaving.
-type FleetCampaign = fleet.Campaign
-
-// FleetCampaignConfig parameterizes a campaign; FleetCampaignResult and
-// FleetTenantResult are its fleet-wide and per-lab outcomes.
+// FleetCampaignConfig parameterizes a campaign of hundreds of concurrent
+// tenant workloads through one router, each lab on its own virtual clock;
+// FleetCampaignResult is its outcome.
 type (
 	FleetCampaignConfig = fleet.CampaignConfig
 	FleetCampaignResult = fleet.CampaignResult
-	FleetTenantResult   = fleet.TenantResult
 )
 
 // NewFleetCampaign builds a campaign and its router.
 var NewFleetCampaign = fleet.NewCampaign
 
-// FleetTenantID names the i-th campaign lab; FleetTenantSeed derives a
-// lab's deterministic seed from the campaign seed and its ID alone.
-var (
-	FleetTenantID   = fleet.TenantID
-	FleetTenantSeed = fleet.TenantSeed
-)
-
-// TracingSession is the lab-computer side of RATracer: it hands out
-// virtualized devices and owns the middlebox transport.
-type TracingSession = tracer.Session
+// FleetTenantSeed derives a campaign lab's deterministic seed from the
+// campaign seed and its ID alone — byte-reproducible under any interleaving.
+var FleetTenantSeed = fleet.TenantSeed
 
 // TracingConfig configures a session: default mode, per-device overrides
 // (hybrid configurations), and procedure labels.
@@ -264,10 +211,6 @@ var NewTracingSession = tracer.NewSession
 
 // DialMiddlebox connects to a middlebox server over TCP.
 var DialMiddlebox = tracer.DialTCP
-
-// NewLocalTransport builds an in-process transport to a middlebox core,
-// charging an emulated network profile to the injected clock.
-var NewLocalTransport = tracer.NewLocalTransport
 
 // --- Trace storage ---
 
@@ -322,9 +265,6 @@ type TraceDBOptions = tracedb.Options
 // procedure, and run — the analyses' query shapes.
 type TraceQuery = tracedb.Query
 
-// TraceIterator streams a TraceDB scan in sequence order.
-type TraceIterator = tracedb.Iterator
-
 // OpenTraceDB opens (or creates) a trace store directory, recovering and
 // truncating any torn tail left by a crash — including half-finished
 // compaction temps and segments superseded by a completed compaction.
@@ -335,20 +275,8 @@ var OpenTraceDB = tracedb.Open
 // max bytes). Set on TraceDBOptions.Lifecycle.
 type TraceLifecycleOptions = tracedb.LifecycleOptions
 
-// TraceCompactStats summarizes a TraceDB.Compact call; TraceRetainStats a
-// TraceDB.Retain pass.
+// TraceCompactStats summarizes a TraceDB.Compact call.
 type TraceCompactStats = tracedb.CompactStats
-type TraceRetainStats = tracedb.RetainStats
-
-// TraceLifecycleInfo is the storage-lifecycle state (live vs reclaimable
-// bytes, block-size distribution, retention horizon) behind
-// radquery -mode info.
-type TraceLifecycleInfo = tracedb.LifecycleInfo
-
-// TraceQueryPlan explains how the selectivity planner would execute a query
-// (radquery -explain): driver choices, posting-list sizes, candidate and
-// fully-covered block counts.
-type TraceQueryPlan = tracedb.QueryPlan
 
 // --- Live streaming and online detection (internal/stream) ---
 
@@ -362,17 +290,9 @@ type Broker = stream.Broker
 // Middlebox.AttachBroker or to a store with Broker.AttachStore.
 var NewBroker = stream.NewBroker
 
-// Subscriber is one consumer's bounded ring; SubOptions configures the
-// subscription (name, buffer, policy, filter); SubscriberStats is its
-// delivery accounting.
-type (
-	Subscriber      = stream.Subscriber
-	SubOptions      = stream.SubOptions
-	SubscriberStats = stream.SubscriberStats
-)
-
-// StreamEvent is one published item — a trace record or power sample.
-type StreamEvent = stream.Event
+// SubOptions configures a broker subscription (name, buffer, policy,
+// filter).
+type SubOptions = stream.SubOptions
 
 // Overflow policies: StreamDropOldest sheds a slow subscriber's oldest
 // events (the default — publishers never block); StreamBlock backpressures
@@ -382,16 +302,8 @@ const (
 	StreamBlock      = stream.Block
 )
 
-// StreamTail is a snapshot-then-follow subscription: replay the store, then
-// the live feed, gap-free and duplicate-free.
-type StreamTail = stream.Tail
-
-// StreamServer serves a broker's feed over TCP (the radwatch protocol);
-// StreamClient is the consumer side.
-type (
-	StreamServer = stream.Server
-	StreamClient = stream.Client
-)
+// StreamServer serves a broker's feed over TCP (the radwatch protocol).
+type StreamServer = stream.Server
 
 // NewStreamServer wraps a broker (and an optional TraceDB for snapshot
 // replays); DialStream connects a client to a stream listener.
@@ -399,12 +311,6 @@ var (
 	NewStreamServer = stream.NewServer
 	DialStream      = stream.Dial
 )
-
-// StreamHeartbeat configures the stream server's liveness protocol: tail
-// connections are pinged every Interval and reaped when no pong arrives
-// within the grace window, so half-open subscribers stop holding rings and
-// goroutines. Apply with StreamServer.SetHeartbeat.
-type StreamHeartbeat = stream.HeartbeatConfig
 
 // StreamResilientTail is the self-healing consumer: an auto-reconnecting
 // tail that tracks the last delivered sequence number, redials with
@@ -414,17 +320,11 @@ type StreamHeartbeat = stream.HeartbeatConfig
 type (
 	StreamResilientTail   = stream.ResilientTail
 	StreamResilientConfig = stream.ResilientConfig
-	StreamResilientStats  = stream.ResilientStats
 )
 
 // NewStreamResilientTail builds an auto-reconnecting tail; the first
 // connection is dialed lazily by the first Recv.
 var NewStreamResilientTail = stream.NewResilientTail
-
-// StreamSubscribeError is the permanent-refusal error: the server answered
-// the subscription with an explicit error event rather than dropping the
-// connection, so redialing with the same request cannot help.
-type StreamSubscribeError = stream.SubscribeError
 
 // StreamSubscribe is the wire-protocol subscription request a stream client
 // sends (filters, snapshot, policy, buffer); StreamWireEvent is the framed
@@ -448,11 +348,10 @@ const (
 	StreamPolicyBlock      = wire.PolicyBlock
 )
 
-// StreamIDS is the online intrusion detector: a sliding-window streaming
-// perplexity scorer plus the rule engine over a live feed, accumulating
-// structured StreamAlert records.
+// StreamIDSConfig configures the online intrusion detector: a
+// sliding-window streaming perplexity scorer plus the rule engine over a
+// live feed, accumulating structured StreamAlert records.
 type (
-	StreamIDS       = stream.IDS
 	StreamIDSConfig = stream.IDSConfig
 	StreamAlert     = stream.Alert
 )
@@ -468,18 +367,9 @@ var NewStreamIDS = stream.NewIDS
 // Observe method that registers its instruments into one of these.
 type MetricsRegistry = obs.Registry
 
-// Metric instrument and snapshot types, for callers that register their own
-// instruments or post-process a snapshot (radwatch's -obs mode does the
-// latter).
-type (
-	MetricCounter      = obs.Counter
-	MetricGauge        = obs.Gauge
-	LatencyHistogram   = obs.Histogram
-	MetricsSnapshot    = obs.Snapshot
-	CounterSnapshot    = obs.CounterSnapshot
-	GaugeSnapshot      = obs.GaugeSnapshot
-	MetricHistSnapshot = obs.HistogramSnapshot
-)
+// MetricsSnapshot is a registry's JSON snapshot, for callers that
+// post-process it (radwatch's -obs mode).
+type MetricsSnapshot = obs.Snapshot
 
 // DefaultLatencyBuckets is the shared histogram bucket ladder (1µs–60s),
 // tuned so serial exchanges, retries, and whole-procedure timings all land
@@ -520,31 +410,25 @@ var NewMetricsMuxWith = obs.ServeMuxWith
 type SpanRecorder = span.Recorder
 
 // Span tracing surface: spans and their trace-context pair, recorder
-// configuration, assembled trees with filters, recorder accounting, and
-// per-tenant rollups.
+// configuration, and assembled trees with filters.
 type (
-	Span             = span.Span
-	SpanContext      = span.Context
-	SpanConfig       = span.Config
-	SpanTree         = span.Tree
-	SpanTreeJSON     = span.TreeJSON
-	SpanPageJSON     = span.PageJSON
-	SpanFilter       = span.Filter
-	SpanStats        = span.Stats
-	SpanTenantRollup = span.TenantRollup
+	Span         = span.Span
+	SpanContext  = span.Context
+	SpanConfig   = span.Config
+	SpanTreeJSON = span.TreeJSON
+	SpanPageJSON = span.PageJSON
+	SpanFilter   = span.Filter
 )
 
 // NewSpanRecorder builds a recorder; SpanHandler serves its recent trace
 // trees as /debug/spans (JSON and human-readable text, filterable);
-// SpanTreesJSON and WriteSpanTrees convert and pretty-print assembled
-// trees (radwatch -spans uses both ends of that pair).
+// WriteSpanTrees pretty-prints them (radwatch -spans) and SpanFormatID
+// spells a trace id as it appears there.
 var (
 	NewSpanRecorder = span.NewRecorder
 	SpanHandler     = span.Handler
-	SpanTreesJSON   = span.TreesJSON
 	WriteSpanTrees  = span.WriteTrees
 	SpanFormatID    = span.FormatID
-	SpanParseID     = span.ParseID
 )
 
 // --- The virtual lab and procedures ---
@@ -589,8 +473,6 @@ var (
 	RunSolubilityN9      = procedure.RunSolubilityN9
 	RunSolubilityN9UR    = procedure.RunSolubilityN9UR
 	RunCrystalSolubility = procedure.RunCrystalSolubility
-	RunVelocityTest      = procedure.RunVelocityTest
-	RunWeightTest        = procedure.RunWeightTest
 )
 
 // --- The dataset ---
@@ -621,12 +503,6 @@ var DeviceTargets = dataset.DeviceTargets
 
 // --- Power telemetry ---
 
-// PowerSample is one 122-property power-dataset entry.
-type PowerSample = power.Sample
-
-// PowerMonitor records UR3e telemetry at 25 Hz.
-type PowerMonitor = power.Monitor
-
 // PowerPropertyNames returns the 122 property names of the sample schema.
 var PowerPropertyNames = power.PropertyNames
 
@@ -634,10 +510,6 @@ var PowerPropertyNames = power.PropertyNames
 var CurrentSeries = power.CurrentSeries
 
 // --- Analyses (§V) ---
-
-// NGramModel is a Laplace-smoothed n-gram language model with the §V-B
-// perplexity score.
-type NGramModel = ngram.Model
 
 // TrainNGram fits an order-n model with the given smoothing constant.
 var TrainNGram = ngram.Train
@@ -651,17 +523,13 @@ var (
 	TopNGramsParallel = ngram.TopKParallel
 )
 
-// TFIDFVectorizer computes the §V-A fingerprints.
-type TFIDFVectorizer = tfidf.Vectorizer
-
-// FitTFIDF fits a vectorizer; CosineSimilarity compares two fingerprints;
-// SimilarityMatrix computes all pairwise similarities (Fig. 6) on
-// GOMAXPROCS workers; SimilarityMatrixParallel bounds the worker count.
+// FitTFIDF fits the §V-A fingerprint vectorizer; CosineSimilarity compares
+// two fingerprints; SimilarityMatrix computes all pairwise similarities
+// (Fig. 6) on GOMAXPROCS workers.
 var (
-	FitTFIDF                 = tfidf.Fit
-	CosineSimilarity         = tfidf.Cosine
-	SimilarityMatrix         = tfidf.SimilarityMatrix
-	SimilarityMatrixParallel = tfidf.SimilarityMatrixParallel
+	FitTFIDF         = tfidf.Fit
+	CosineSimilarity = tfidf.Cosine
+	SimilarityMatrix = tfidf.SimilarityMatrix
 )
 
 // JenksSplit2 splits scores into two natural classes (§V-B).
@@ -685,17 +553,12 @@ type PerplexityDetector = ids.PerplexityDetector
 // TrainPerplexityDetector fits a detector on valid command sequences.
 var TrainPerplexityDetector = ids.TrainPerplexity
 
-// ProcedureClassifier identifies procedure types by TF-IDF fingerprint
-// (RQ1).
-type ProcedureClassifier = ids.ProcedureClassifier
-
-// TrainProcedureClassifier fits the classifier on labelled runs.
+// TrainProcedureClassifier fits the TF-IDF procedure classifier (RQ1) on
+// labelled runs.
 var TrainProcedureClassifier = ids.TrainClassifier
 
-// RuleEngine is the middlebox's first-line rule-based safeguard.
-type RuleEngine = ids.RuleEngine
-
-// NewRuleEngine builds a rule engine with an optional per-device rate limit.
+// NewRuleEngine builds the middlebox's first-line rule-based safeguard with
+// an optional per-device rate limit.
 var NewRuleEngine = ids.NewRuleEngine
 
 // PowerDetector matches joint-current signatures (§VI / RQ3).
@@ -706,14 +569,9 @@ var NewPowerDetector = ids.NewPowerDetector
 
 // --- Experiment harnesses (one per paper table/figure) ---
 
-// Experiment result types.
+// Experiment configuration and result types.
 type (
-	Fig4Result   = experiments.Fig4Result
 	Fig4Config   = experiments.Fig4Config
-	Fig5aResult  = experiments.Fig5aResult
-	NGramTable   = experiments.NGramTable
-	Fig6Result   = experiments.Fig6Result
-	TableIRow    = experiments.TableIRow
 	TableIConfig = experiments.TableIConfig
 	Fig7aResult  = experiments.Fig7aResult
 	Fig7bResult  = experiments.Fig7bResult
@@ -734,46 +592,24 @@ var (
 	Fig7dWeights             = experiments.Fig7dWeights
 )
 
-// Series is one labelled joint-current time series at 40 ms ticks.
-type Series = experiments.Series
-
 // --- Extensions beyond the paper's tables (its §VII future work) ---
 
-// ArgQuantizer maps numeric command arguments onto training-calibrated
-// buckets; ArgAwareDetector is the argument-aware perplexity IDS ("bring
-// command arguments into the fold").
+// FitArgQuantizer calibrates the quantizer that maps numeric command
+// arguments onto training-calibrated buckets, for the argument-aware
+// perplexity IDS ("bring command arguments into the fold").
+var FitArgQuantizer = ids.FitArgQuantizer
+
+// NewAutoLabeler builds a labeler from supervised runs that recovers
+// procedure labels for unlabelled trace segments ("find ways to
+// automatically generate labels").
+var NewAutoLabeler = ids.NewAutoLabeler
+
+// AttackConfig parameterizes the man-in-the-middle interceptor;
+// AttackScenario describes one benchmark run ("generate many more
+// anomalous traces … for benchmarking other IDS").
 type (
-	ArgQuantizer     = ids.ArgQuantizer
-	ArgAwareDetector = ids.ArgAwareDetector
-)
-
-// FitArgQuantizer calibrates a quantizer; TrainArgAwareDetector fits the
-// argument-aware perplexity detector.
-var (
-	FitArgQuantizer       = ids.FitArgQuantizer
-	TrainArgAwareDetector = ids.TrainArgAwarePerplexity
-)
-
-// AutoLabeler recovers procedure labels for unlabelled trace segments
-// ("find ways to automatically generate labels").
-type AutoLabeler = ids.AutoLabeler
-
-// NewAutoLabeler builds a labeler from supervised runs; SegmentSessions
-// splits a trace stream into sessions at idle gaps.
-var (
-	NewAutoLabeler  = ids.NewAutoLabeler
-	SegmentSessions = ids.SegmentSessions
-)
-
-// AttackKind identifies an attack family; AttackConfig parameterizes the
-// man-in-the-middle interceptor; AttackScenario and AttackOutcome describe
-// benchmark runs ("generate many more anomalous traces … for benchmarking
-// other IDS").
-type (
-	AttackKind     = attack.Kind
 	AttackConfig   = attack.Config
 	AttackScenario = attack.Scenario
-	AttackOutcome  = attack.Outcome
 	Interceptor    = attack.Interceptor
 )
 
@@ -795,15 +631,10 @@ var (
 	StandardAttackSuite = attack.StandardSuite
 )
 
-// TransportRouter routes each device's traffic to its own middlebox — the
-// distributed deployment §VII anticipates.
-type TransportRouter = tracer.Router
-
-// NewTransportRouter creates a router with an optional fallback transport.
+// NewTransportRouter creates a router that sends each device's traffic to
+// its own middlebox — the distributed deployment §VII anticipates — with an
+// optional fallback transport.
 var NewTransportRouter = tracer.NewRouter
-
-// AttackBenchRow is one attack-benchmark scenario result.
-type AttackBenchRow = experiments.AttackBenchRow
 
 // AttackBenchmark evaluates the name-only and argument-aware detectors
 // against the standard attack suite.
@@ -813,12 +644,6 @@ var (
 )
 
 // Ablation studies (smoothing constant, Jenks space, streaming window).
-type (
-	SmoothingRow  = experiments.SmoothingRow
-	JenksSpaceRow = experiments.JenksSpaceRow
-	WindowRow     = experiments.WindowRow
-)
-
 var (
 	AblationSmoothing    = experiments.AblationSmoothing
 	AblationJenksSpace   = experiments.AblationJenksSpace
@@ -826,11 +651,10 @@ var (
 	RenderAblations      = experiments.RenderAblations
 )
 
-// SpecElement and Spec are mined procedure specifications: repeated blocks
-// with iteration bounds (§V's specification-mining use case). Mining,
-// merging across runs, and the corpus-level block summary:
+// Spec is a mined procedure specification: repeated blocks with iteration
+// bounds (§V's specification-mining use case). Mining, merging across
+// runs, and the corpus-level block summary:
 type (
-	SpecElement = specmine.Element
 	Spec        = specmine.Spec
 	SpecOptions = specmine.Options
 )
@@ -842,22 +666,12 @@ var (
 	TopSpecBlocks = specmine.TopBlocks
 )
 
-// RQ1Row and RQ1Result are the leave-one-out procedure-identification
-// experiment (§V-A's RQ1).
-type (
-	RQ1Row    = experiments.RQ1Row
-	RQ1Result = experiments.RQ1Result
-)
-
-// RQ1Classification runs leave-one-out TF-IDF identification over the 25
-// supervised runs.
+// RQ1Classification runs leave-one-out TF-IDF procedure identification
+// (§V-A's RQ1) over the 25 supervised runs.
 var (
 	RQ1Classification = experiments.RQ1Classification
 	RenderRQ1         = experiments.RenderRQ1
 )
-
-// PowerIDSRow is one probe of the quantitative RQ3 benchmark.
-type PowerIDSRow = experiments.PowerIDSRow
 
 // PowerIDSBenchmark enrols known motions' current signatures and probes the
 // power detector with repeats, velocity changes, hidden payloads, and
