@@ -51,6 +51,7 @@ import (
 	"rad/internal/device/tecan"
 	"rad/internal/device/ur3e"
 	"rad/internal/power"
+	"rad/internal/store"
 )
 
 func main() {
@@ -153,9 +154,8 @@ func run(args []string, stop <-chan struct{}) error {
 	// Trace sinks: in-memory store for stats plus the optional persistent
 	// store and file logs.
 	mem := rad.NewTraceStore()
-	sinks := []rad.TraceSink{mem}
-	var flushers []interface{ Flush() error }
 	var tdb *rad.TraceDB
+	var dlq *rad.DeadLetterQueue
 	if *storeDir != "" {
 		db, err := rad.OpenTraceDB(*storeDir, rad.TraceDBOptions{Clock: clock,
 			Lifecycle: rad.TraceLifecycleOptions{
@@ -168,7 +168,6 @@ func run(args []string, stop <-chan struct{}) error {
 		}
 		defer db.Close()
 		tdb = db
-		sinks = append(sinks, tdb)
 		if reg != nil {
 			tdb.Observe(reg)
 		}
@@ -176,44 +175,6 @@ func run(args []string, stop <-chan struct{}) error {
 	if reg != nil {
 		mem.Observe(reg)
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := rad.NewJSONLWriter(f)
-		sinks = append(sinks, w)
-		flushers = append(flushers, w)
-	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := rad.NewCSVWriter(f)
-		sinks = append(sinks, w)
-		flushers = append(flushers, w)
-	}
-
-	// The tee forwards commit notifications from its sequencing sink (the
-	// tracedb when present, else the memory store) so an attached broker
-	// publishes records with their authoritative sequence numbers.
-	var seqSink rad.TraceSink = mem
-	if tdb != nil {
-		seqSink = tdb
-	}
-	var sink rad.TraceSink = &teeSink{sinks: sinks, seq: seqSink}
-	if faults.SinkErrProb > 0 {
-		flaky := rad.WrapFlakySink(sink, faults, *seed+9)
-		if reg != nil {
-			flaky.Observe(reg)
-		}
-		sink = flaky
-	}
-	var dlq *rad.DeadLetterQueue
-	var failover *rad.FailoverSink
 	if *dlqDir != "" {
 		dlq, err = rad.OpenDLQ(*dlqDir)
 		if err != nil {
@@ -230,6 +191,48 @@ func run(args []string, stop <-chan struct{}) error {
 				fmt.Printf("dlq: re-ingested %d spilled records from %s\n", n, *dlqDir)
 			}
 		}
+	}
+	var exports []rad.TraceSink
+	var flushers []interface{ Flush() error }
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w := rad.NewJSONLWriter(f)
+		exports = append(exports, w)
+		flushers = append(flushers, w)
+	}
+	if *csvPath != "" {
+		f, err := os.Create(*csvPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w := rad.NewCSVWriter(f)
+		exports = append(exports, w)
+		flushers = append(flushers, w)
+	}
+
+	// The sequencing sink (the tracedb when present, else the memory store)
+	// numbers every record; the file logs and an attached broker are fed
+	// from its commits, so all of them carry the store's sequence numbers.
+	var seqSink store.SeqSink = mem
+	var others []rad.TraceSink
+	if tdb != nil {
+		seqSink, others = tdb, []rad.TraceSink{mem}
+	}
+	var sink rad.TraceSink = store.NewTee(seqSink, others, exports...)
+	if faults.SinkErrProb > 0 {
+		flaky := rad.WrapFlakySink(sink, faults, *seed+9)
+		if reg != nil {
+			flaky.Observe(reg)
+		}
+		sink = flaky
+	}
+	var failover *rad.FailoverSink
+	if dlq != nil {
 		failover = rad.NewFailoverSink(sink, dlq)
 		failover.SetSpans(spans, spanTenant)
 		if reg != nil {
@@ -543,28 +546,3 @@ var (
 	streamReady chan string
 	obsReady    chan string
 )
-
-// teeSink fans records to all sinks and forwards commit notifications from
-// its designated sequencing sink, so Middlebox.AttachBroker sees a
-// TraceNotifier and wires the broker to authoritative sequence numbers.
-type teeSink struct {
-	sinks []rad.TraceSink
-	seq   rad.TraceSink
-}
-
-func (t *teeSink) Append(r rad.TraceRecord) error {
-	for _, s := range t.sinks {
-		if err := s.Append(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetOnCommit implements rad.TraceNotifier by delegating to the sequencing
-// sink.
-func (t *teeSink) SetOnCommit(fn func([]rad.TraceRecord)) {
-	if n, ok := t.seq.(rad.TraceNotifier); ok {
-		n.SetOnCommit(fn)
-	}
-}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -107,6 +108,78 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 	for i, r := range persisted {
 		if r.Device != rad.DeviceC9 || r.Seq != uint64(i) {
 			t.Errorf("persisted record %d unexpected: %+v", i, r)
+		}
+	}
+}
+
+// TestMiddleboxTraceLogSeqAcrossRestart runs the middlebox twice on one
+// -store with a -trace log: the second run's JSONL must number its records
+// as the store does (continuing after the first run), not from 0.
+func TestMiddleboxTraceLogSeqAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "tracedb")
+	names := []string{device.Init, "MVNG", "MVNG"}
+	for runNo := 0; runNo < 2; runNo++ {
+		tracePath := filepath.Join(dir, fmt.Sprintf("trace-%d.jsonl", runNo))
+		listenReady = make(chan string, 1)
+		stop := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{
+				"-listen", "127.0.0.1:0", "-trace", tracePath,
+				"-store", storeDir, "-network", "none",
+			}, stop)
+		}()
+		var addr string
+		select {
+		case addr = <-listenReady:
+		case err := <-done:
+			t.Fatalf("run %d exited early: %v", runNo, err)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %d never came up", runNo)
+		}
+		transport, err := rad.DialMiddlebox(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{DefaultMode: rad.ModeRemote})
+		dev, err := sess.Virtual(rad.DeviceC9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if _, err := dev.Exec(rad.Command{Name: name}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = sess.Close()
+		close(stop)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d shutdown: %v", runNo, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %d never shut down", runNo)
+		}
+		listenReady = nil
+
+		f, err := os.Open(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged, err := rad.ReadTraceJSONL(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(logged) != len(names) {
+			t.Fatalf("run %d: jsonl has %d records, want %d", runNo, len(logged), len(names))
+		}
+		for i, r := range logged {
+			if want := uint64(runNo*len(names) + i); r.Seq != want {
+				t.Errorf("run %d: jsonl record %d has seq %d, want %d (the store's)", runNo, i, r.Seq, want)
+			}
 		}
 	}
 }

@@ -21,8 +21,8 @@
 //	compact  run the storage lifecycle by hand: compact fragmented
 //	         segments, and apply -retain-age/-retain-bytes when set
 //
-// Filters (scan, and count for run/procedure groupings): -device, -key,
-// -proc, -run, -from/-to (RFC 3339), -limit.
+// Filters (scan and count): -device, -key, -proc, -run, -from/-to
+// (RFC 3339); scan also takes -limit.
 //
 // -explain prints the selectivity planner's decision for a scan query —
 // which posting list drives, how many blocks are read versus provably
@@ -32,7 +32,8 @@
 // -stream listener: the middlebox replays every matching record already in
 // its store (snapshot-then-follow, gap-free), then keeps streaming new ones
 // as they commit — the same subscriber radwatch uses. -store is not needed;
-// the middlebox reads its own.
+// the middlebox reads its own. The tail protocol has no time bounds, so
+// -from/-to are refused with -follow; the other filters apply.
 package main
 
 import (
@@ -77,6 +78,9 @@ func run(args []string, out io.Writer) error {
 	if *follow {
 		if *addr == "" {
 			return fmt.Errorf("-follow requires -addr")
+		}
+		if *from != "" || *to != "" {
+			return fmt.Errorf("-from/-to cannot be used with -follow: the live tail has no time bounds")
 		}
 		return followScan(out, *addr, rad.StreamSubscribe{
 			Name:   "radquery",
@@ -204,33 +208,41 @@ func printInfo(out io.Writer, db *rad.TraceDB) error {
 	return nil
 }
 
-// printCounts prints "count group" lines, largest first. Command and device
-// groupings come straight from the segment indexes; run and procedure
-// groupings are indexed scans.
+// printCounts prints "count group" lines, largest first, over the records
+// q matches. Unfiltered command and device counts come straight from the
+// segment indexes; everything else is an indexed scan.
 func printCounts(out io.Writer, db *rad.TraceDB, by string, q rad.TraceQuery) error {
-	counts := make(map[string]int)
+	var group func(r rad.TraceRecord) (string, bool)
 	switch by {
 	case "command":
-		counts = db.CountByCommand()
+		group = func(r rad.TraceRecord) (string, bool) { return r.Key(), true }
 	case "device":
+		group = func(r rad.TraceRecord) (string, bool) { return r.Device, true }
+	case "run": // unsupervised records have no run to count under
+		group = func(r rad.TraceRecord) (string, bool) { return r.Run, r.Run != "" }
+	case "procedure":
+		group = func(r rad.TraceRecord) (string, bool) { return r.Procedure, true }
+	default:
+		return fmt.Errorf("unknown -by %q", by)
+	}
+	var counts map[string]int
+	switch {
+	case by == "command" && q == rad.TraceQuery{}:
+		counts = db.CountByCommand()
+	case by == "device" && q == rad.TraceQuery{}:
 		counts = db.CountByDevice()
-	case "run", "procedure":
+	default:
+		counts = make(map[string]int)
 		it := db.Scan(q)
+		defer it.Close()
 		for it.Next() {
-			r := it.Record()
-			if by == "run" {
-				if r.Run != "" {
-					counts[r.Run]++
-				}
-			} else {
-				counts[r.Procedure]++
+			if g, ok := group(it.Record()); ok {
+				counts[g]++
 			}
 		}
 		if err := it.Err(); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown -by %q", by)
 	}
 	groups := make([]string, 0, len(counts))
 	for g := range counts {

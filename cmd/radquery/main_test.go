@@ -206,6 +206,32 @@ func TestQueryCountByRunAndProcedure(t *testing.T) {
 	}
 }
 
+// TestQueryCountByIndexedGroupingsHonoursFilters: command and device
+// counts apply the filters like every other grouping instead of reporting
+// whole-store index totals.
+func TestQueryCountByIndexedGroupingsHonoursFilters(t *testing.T) {
+	dir := buildStore(t)
+	for _, tc := range []struct {
+		args []string
+		want string // exact output
+	}{
+		{[]string{"-by", "command", "-run", "no-such-run"}, ""},
+		{[]string{"-by", "command", "-run", "run-7"}, "       8  C9.MVNG\n       2  Tecan.Q\n"},
+		{[]string{"-by", "device", "-device", "Tecan"}, "      10  Tecan\n"},
+		{[]string{"-by", "device", "-from", "2022-03-01T09:30:00Z"}, "       8  C9\n       2  Tecan\n"},
+		{[]string{"-by", "command"}, "      30  C9.MVNG\n      10  Tecan.Q\n"},
+	} {
+		var out bytes.Buffer
+		args := append([]string{"-store", dir, "-mode", "count"}, tc.args...)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if out.String() != tc.want {
+			t.Errorf("%v: output\n%q\nwant\n%q", tc.args, out.String(), tc.want)
+		}
+	}
+}
+
 // TestQueryFollowTailsStream runs the -follow path against a live stream
 // listener: the persisted store replays as a snapshot, then live commits
 // keep arriving, all through the same scan formats.
@@ -281,6 +307,39 @@ func TestQueryFollowTailsStream(t *testing.T) {
 	for _, r := range filtered {
 		if r.Run != "run-7" {
 			t.Errorf("record leaked through run filter: %+v", r)
+		}
+	}
+}
+
+// TestQueryFollowRejectsTimeBounds: the tail protocol has no time bounds,
+// so -from/-to with -follow are refused against a live listener instead of
+// being silently dropped.
+func TestQueryFollowRejectsTimeBounds(t *testing.T) {
+	dir := buildStore(t)
+	db, err := rad.OpenTraceDB(dir, rad.TraceDBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	broker := rad.NewBroker()
+	defer broker.Close()
+	broker.AttachStore(db)
+	srv := rad.NewStreamServer(broker, db)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for _, bound := range [][]string{
+		{"-from", "not-a-time"},
+		{"-from", "2022-03-01T09:30:00Z"},
+		{"-to", "2022-03-01T09:30:00Z"},
+	} {
+		args := append([]string{"-follow", "-addr", addr, "-limit", "1"}, bound...)
+		err := run(args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "-follow") {
+			t.Errorf("%v: err = %v, want a -follow refusal", bound, err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rad/internal/simclock"
@@ -55,27 +54,21 @@ func (s BreakerState) String() string {
 // Breaker is a per-device circuit breaker: closed → open after Threshold
 // consecutive infrastructure failures, open → half-open after Cooldown,
 // half-open → closed after Probes successful probes (or back to open on a
-// probe failure). Safe for concurrent use; the closed-state fast path is
-// one atomic load, so a healthy device pays almost nothing.
+// probe failure). Safe for concurrent use: every method takes mu.
 type Breaker struct {
 	name  string
 	clock simclock.Clock
 	cfg   BreakerConfig
 
-	// status packs the position (high 32 bits) and the consecutive
-	// infra-failure count while closed (low 32 bits) into one word, so
-	// "closed with a clean streak" — the Done fast path — is a single
-	// atomic load compared against zero, cheap enough that Allow and Done
-	// inline into the middlebox exec hot path. Writes happen under mu.
-	status atomic.Uint64
-
-	mu        sync.Mutex // guards transitions and the slow-path fields
-	reopenAt  time.Time  // when an open breaker admits a probe
-	probing   bool       // a half-open probe is in flight
-	successes int        // consecutive successful probes while half-open
-	opens     uint64     // transitions into the open state
-	probes    uint64     // half-open probes admitted
-	sheds     uint64     // requests rejected while open/half-open
+	mu        sync.Mutex
+	state     BreakerState
+	failures  int       // consecutive infra failures while closed
+	reopenAt  time.Time // when an open breaker admits a probe
+	probing   bool      // a half-open probe is in flight
+	successes int       // consecutive successful probes while half-open
+	opens     uint64    // transitions into the open state
+	probes    uint64    // half-open probes admitted
+	sheds     uint64    // requests rejected while open/half-open
 }
 
 // NewBreaker builds a breaker for the named device. A non-positive
@@ -99,26 +92,20 @@ func NewBreaker(name string, clock simclock.Clock, cfg BreakerConfig) *Breaker {
 // the probe; while a probe is in flight (or the cooldown is still
 // running) requests are shed.
 func (b *Breaker) Allow() bool {
-	// Kept to a nil check and one atomic load so it inlines into the exec
-	// hot path; everything stateful lives in allowSlow.
-	if b == nil || BreakerState(b.status.Load()>>32) == BreakerClosed {
+	if b == nil {
 		return true
 	}
-	return b.allowSlow()
-}
-
-func (b *Breaker) allowSlow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.stateLocked() {
-	case BreakerClosed: // raced with a close; admit
+	switch b.state {
+	case BreakerClosed:
 		return true
 	case BreakerOpen:
 		if b.clock.Now().Before(b.reopenAt) {
 			b.sheds++
 			return false
 		}
-		b.setLocked(BreakerHalfOpen, 0)
+		b.state, b.failures = BreakerHalfOpen, 0
 		b.successes = 0
 		fallthrough
 	default: // half-open
@@ -137,27 +124,19 @@ func (b *Breaker) allowSlow() bool {
 // success or a device-reported command error (a device that answers is a
 // healthy device).
 func (b *Breaker) Done(infra bool) {
-	// Fast path — healthy device, closed breaker, clean streak — shaped
-	// to inline into the exec hot path like Allow: status == 0 is exactly
-	// "closed with zero consecutive failures".
-	if b == nil || (!infra && b.status.Load() == 0) {
+	if b == nil {
 		return
 	}
-	b.doneSlow(infra)
-}
-
-func (b *Breaker) doneSlow(infra bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.stateLocked() {
+	switch b.state {
 	case BreakerClosed:
 		if !infra {
-			b.setLocked(BreakerClosed, 0)
+			b.failures = 0
 			return
 		}
-		f := b.failuresLocked() + 1
-		b.setLocked(BreakerClosed, f)
-		if f >= int32(b.cfg.Threshold) {
+		b.failures++
+		if b.failures >= b.cfg.Threshold {
 			b.tripLocked()
 		}
 	case BreakerHalfOpen:
@@ -168,7 +147,7 @@ func (b *Breaker) doneSlow(infra bool) {
 		}
 		b.successes++
 		if b.successes >= b.cfg.Probes {
-			b.setLocked(BreakerClosed, 0)
+			b.state, b.failures = BreakerClosed, 0
 		}
 	case BreakerOpen:
 		// A stale attempt admitted before the trip finished; its outcome
@@ -176,20 +155,11 @@ func (b *Breaker) doneSlow(infra bool) {
 	}
 }
 
-// stateLocked, failuresLocked, and setLocked unpack and pack the status
-// word; callers hold b.mu (plain loads of status are safe anywhere, but
-// read-modify-write must be serialized).
-func (b *Breaker) stateLocked() BreakerState { return BreakerState(b.status.Load() >> 32) }
-func (b *Breaker) failuresLocked() int32     { return int32(uint32(b.status.Load())) }
-func (b *Breaker) setLocked(s BreakerState, failures int32) {
-	b.status.Store(uint64(s)<<32 | uint64(uint32(failures)))
-}
-
 // tripLocked moves the breaker to open and starts the cooldown. The
 // failure count carries over (it reads as Threshold while open; a close
-// resets it).
+// resets it). Caller holds b.mu.
 func (b *Breaker) tripLocked() {
-	b.setLocked(BreakerOpen, b.failuresLocked())
+	b.state = BreakerOpen
 	b.reopenAt = b.clock.Now().Add(b.cfg.Cooldown)
 	b.probing = false
 	b.opens++
@@ -200,7 +170,9 @@ func (b *Breaker) State() BreakerState {
 	if b == nil {
 		return BreakerClosed
 	}
-	return BreakerState(b.status.Load() >> 32)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
 }
 
 // BreakerStats is one breaker's observability snapshot.
@@ -223,10 +195,10 @@ func (b *Breaker) Stats() BreakerStats {
 	defer b.mu.Unlock()
 	return BreakerStats{
 		Device:   b.name,
-		State:    b.stateLocked().String(),
+		State:    b.state.String(),
 		Opens:    b.opens,
 		Probes:   b.probes,
 		Sheds:    b.sheds,
-		Failures: int(b.failuresLocked()),
+		Failures: b.failures,
 	}
 }

@@ -2,6 +2,8 @@ package fault
 
 import (
 	"math/rand/v2"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -183,6 +185,59 @@ func TestBreakerDisabledAndNil(t *testing.T) {
 	}
 	if st := b.Stats(); st.State != "closed" {
 		t.Errorf("nil breaker stats = %+v", st)
+	}
+}
+
+// TestBreakerConcurrentHalfOpen hammers a half-open breaker from many
+// goroutines: at most one probe may be in flight at any instant, and every
+// Allow call is accounted for as exactly one probe or one shed.
+func TestBreakerConcurrentHalfOpen(t *testing.T) {
+	const workers, calls = 8, 500
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	// Probes is out of reach, so successful probes keep the breaker
+	// half-open for the whole test.
+	b := NewBreaker("C9", clock, BreakerConfig{Threshold: 1, Cooldown: time.Minute, Probes: 1 << 30})
+	b.Done(true)
+	clock.Advance(time.Minute)
+
+	var inFlight, maxInFlight, admitted, shed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if !b.Allow() {
+					shed.Add(1)
+					continue
+				}
+				admitted.Add(1)
+				n := inFlight.Add(1)
+				for {
+					m := maxInFlight.Load()
+					if n <= m || maxInFlight.CompareAndSwap(m, n) {
+						break
+					}
+				}
+				inFlight.Add(-1)
+				b.Done(false)
+			}
+		}()
+	}
+	wg.Wait()
+
+	if m := maxInFlight.Load(); m > 1 {
+		t.Fatalf("%d probes in flight at once, want at most 1", m)
+	}
+	st := b.Stats()
+	if st.State != "half-open" {
+		t.Fatalf("state = %s, want half-open", st.State)
+	}
+	if int64(st.Probes) != admitted.Load() || int64(st.Sheds) != shed.Load() {
+		t.Fatalf("stats probes/sheds = %d/%d, callers saw %d/%d", st.Probes, st.Sheds, admitted.Load(), shed.Load())
+	}
+	if got := st.Probes + st.Sheds; got != workers*calls {
+		t.Fatalf("probes + sheds = %d, want %d calls", got, workers*calls)
 	}
 }
 

@@ -14,16 +14,12 @@ import (
 )
 
 // BenchmarkExecObserved prices the observability layer on the fault-free
-// hot path: "baseline" is the hardened exec path (deadline + retry
-// eligibility + closed breaker, no metrics), "observed" adds the full
-// Observe wiring — whose only per-exec cost is one sharded
-// latency-histogram observe (two LOCK XADDs plus a last-command cache
-// hit); every counter is a pull-based mirror. The budget is observed ≤
-// 1.05× the PR 4 BenchmarkExecWithBreaker baseline: consolidating the
-// device and breaker maps into one entry lookup bought back more than the
-// histogram costs, so "observed" lands below the PR 4 numbers even though
-// it carries ~26ns of instrumentation over today's faster baseline
-// (EXPERIMENTS.md records both comparisons).
+// exec path: "baseline" is the hardened exec path (deadline + closed
+// breaker, no metrics), "observed" adds the full Observe wiring — whose
+// only per-exec cost is one histogram map lookup and one sharded
+// latency-histogram observe (a binary search plus two atomic adds); every
+// counter is a pull-based mirror. The numbers are context, not a gate
+// (EXPERIMENTS.md records them).
 func BenchmarkExecObserved(b *testing.B) {
 	build := func(b *testing.B, observe bool) *Core {
 		b.Helper()
@@ -63,18 +59,9 @@ func BenchmarkExecObserved(b *testing.B) {
 			}
 		}
 	})
-	// The tracing acceptance budget is on the two sub-benchmarks above:
-	// with the span recorder threaded through the exec path, "baseline"
-	// and "observed" must stay within 5% of their PR 5 numbers — i.e. the
-	// nil-recorder hooks (one pointer check per span site, trace fields on
-	// Request/Record) must be free. "traced" then prices the opt-in
-	// recorder itself: one trace-context adopt (a single counter bump plus
-	// two splitmix rounds, ~13ns), span construction (~21ns, dominated by
-	// zeroing the inline attr array), one ring write under the sharded
-	// mutex (~29ns incl. the by-value copy), and the histogram exemplar
-	// store — ~75ns total on the harshest denominator (no sink, virtual
-	// clock), under 7% of the realistic ~1.1µs exec path with a tracedb
-	// sink (EXPERIMENTS.md records the decomposition).
+	// "traced" prices the opt-in span recorder: one trace-context adopt,
+	// span construction, one ring write under the sharded mutex, and the
+	// histogram exemplar store (EXPERIMENTS.md records the decomposition).
 	b.Run("traced", func(b *testing.B) {
 		core := build(b, true)
 		core.SetSpans(span.NewRecorder(span.Config{Seed: 1}), "")

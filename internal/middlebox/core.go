@@ -42,37 +42,18 @@ type deviceEntry struct {
 	// (rad_middlebox_exec_seconds{device,command}), prebuilt from the
 	// command catalog so the hot path pays one map read, never a
 	// registration. histOther absorbs commands outside the catalog.
-	// lastHist caches the most recent lookup: robot command streams repeat
-	// the same command in long runs (homing loops, polling), so the common
-	// case is an atomic load plus one string compare instead of a map
-	// access. A stale entry is harmless — it just misses into the map.
 	hist      map[string]*obs.Histogram
 	histOther *obs.Histogram
-	lastHist  atomic.Pointer[cmdHist]
 }
 
-// cmdHist is one immutable (command name, histogram) pair for
-// deviceEntry.lastHist.
-type cmdHist struct {
-	name string
-	h    *obs.Histogram
-}
-
-// observeSlow is the exec path's histogram lookup miss path: resolve the
-// command's histogram in the map, refresh the last-command cache, record
-// (with a trace-id exemplar when the exec was traced). The hit path is
-// spelled out inline in handleExec.
-func (e *deviceEntry) observeSlow(name string, d time.Duration, traceID uint64) {
+// observe records one exec's latency in its command's histogram, stamping
+// the bucket's exemplar with traceID when the exec was traced.
+func (e *deviceEntry) observe(name string, d time.Duration, traceID uint64) {
 	h, ok := e.hist[name]
 	if !ok {
 		h = e.histOther
 	}
-	e.lastHist.Store(&cmdHist{name: name, h: h})
-	if traceID != 0 {
-		h.ObserveExemplar(d, traceID)
-	} else {
-		h.Observe(d)
-	}
+	h.ObserveExemplar(d, traceID)
 }
 
 // Core is the transport-independent middlebox: it owns the device
@@ -292,57 +273,14 @@ func (c *Core) handleExec(req wire.Request) wire.Reply {
 	}
 	cmd := device.Command{Device: req.Device, Name: req.Name, Args: req.Args}
 	start := c.clock.Now()
-	var value string
-	var err error
-	var end time.Time
-	if !c.hardened {
-		value, err = d.Exec(cmd)
-		end = c.clock.Now()
-	} else {
-		// First attempt, inlined (see execAttempt): the fault-free hot
-		// path pays only the breaker's two-atomic-load bookkeeping and
-		// one deadline comparison over the legacy path above.
-		if c.realDeadline {
-			value, end, err = c.execDeadlined(d, cmd)
-		} else {
-			value, err = d.Exec(cmd)
-			end = c.clock.Now()
-			if t := c.policy.Timeout; t > 0 && end.Sub(start) > t {
-				c.timeouts.Add(1)
-				value = ""
-				err = fmt.Errorf("middlebox: %s: %w (timeout %s)", cmd.Device, fault.ErrDeadline, t)
-			}
-		}
-		if infra := err != nil && fault.IsInfra(err); infra {
-			br.Done(true)
-			c.infraErrs.Add(1)
-			// The first attempt failed into the retry path: record its span
-			// (the fault-free path records only the root, keeping its span
-			// cost to one ring write), then continue the attempt loop.
-			c.recordAttempt(sctx, 1, br, start, end, err)
-			value, end, err = c.execRetry(d, br, cmd, sctx, value, end, err)
-		} else {
-			br.Done(false)
-		}
-	}
+	value, end, err := c.execute(d, br, cmd, sctx, start)
 	if e.hist != nil {
 		// Client-visible exec latency, retries and backoff included. The
 		// duration comes from the injected clock, so virtual-clock
-		// campaigns produce deterministic histograms. The last-command
-		// cache hit path is spelled out here so the common case pays one
-		// atomic load and a string compare, not a map access. Traced execs
-		// stamp the landing bucket's exemplar with their trace id, linking
+		// campaigns produce deterministic histograms. Traced execs stamp
+		// the landing bucket's exemplar with their trace id, linking
 		// rad_middlebox_exec_seconds buckets to /debug/spans trees.
-		d := end.Sub(start)
-		if last := e.lastHist.Load(); last != nil && last.name == req.Name {
-			if sctx.TraceID != 0 {
-				last.h.ObserveExemplar(d, sctx.TraceID)
-			} else {
-				last.h.Observe(d)
-			}
-		} else {
-			e.observeSlow(req.Name, d, sctx.TraceID)
-		}
+		e.observe(req.Name, end.Sub(start), sctx.TraceID)
 	}
 
 	rec := store.Record{

@@ -16,6 +16,13 @@ import (
 	"rad/internal/wire"
 )
 
+// Retry backoff bounds: the jittered exponential delay between attempts
+// starts near retryBase and is capped at retryMax, charged to the clock.
+const (
+	retryBase = 50 * time.Millisecond
+	retryMax  = 2 * time.Second
+)
+
 // DeviceUnavailable prefixes the error a shed request gets and the
 // synthetic Exception the middlebox traces for it, so IDS consumers see
 // failure-mode traffic instead of silence when a breaker opens.
@@ -34,13 +41,10 @@ type ExecPolicy struct {
 	// the fact, which keeps campaigns deterministic.
 	Timeout time.Duration
 	// Retries is the number of extra attempts granted to idempotent
-	// commands after an infrastructure failure. Mutating commands never
-	// retry: a dropped response may mean the command executed.
+	// commands after an infrastructure failure, spaced by a jittered
+	// exponential backoff (retryBase up to retryMax). Mutating commands
+	// never retry: a dropped response may mean the command executed.
 	Retries int
-	// RetryBase and RetryMax bound the jittered exponential backoff
-	// between attempts (defaults 50ms and 2s, charged to the clock).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// RetrySeed seeds the backoff jitter stream (0 selects 1).
 	RetrySeed uint64
 	// Breaker configures the per-device circuit breaker; a zero Threshold
@@ -54,12 +58,6 @@ type ExecPolicy struct {
 func (c *Core) SetExecPolicy(p ExecPolicy) {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	if p.RetryBase <= 0 {
-		p.RetryBase = 50 * time.Millisecond
-	}
-	if p.RetryMax <= 0 {
-		p.RetryMax = 2 * time.Second
-	}
 	seed := p.RetrySeed
 	if seed == 0 {
 		seed = 1
@@ -177,14 +175,49 @@ func (c *Core) recordAttempt(sctx span.Context, attempt int, br *fault.Breaker, 
 	c.spans.Record(s)
 }
 
+// execute runs cmd on d under the exec policy, from the first attempt's
+// start, and returns the final attempt's value, end time and error. Under
+// the zero policy it makes one attempt with no accounting. When hardened,
+// every attempt's outcome feeds the breaker; an infrastructure failure
+// counts in infraErrs and, for idempotent commands, earns backoff-spaced
+// extra attempts, while a device-reported command error returns at once —
+// it is an answer, not an outage. Attempts on the retry path (a failed
+// first attempt and every later one) record an exec.attempt span; the
+// fault-free single attempt is represented by the root exec span alone.
+func (c *Core) execute(d device.Device, br *fault.Breaker, cmd device.Command, sctx span.Context, start time.Time) (string, time.Time, error) {
+	value, end, err := c.execAttempt(d, cmd, start)
+	if !c.hardened {
+		return value, end, err
+	}
+	attempts := 1
+	for attempt := 1; ; attempt++ {
+		infra := err != nil && fault.IsInfra(err)
+		br.Done(infra)
+		if infra || attempt > 1 {
+			c.recordAttempt(sctx, attempt, br, start, end, err)
+		}
+		if !infra {
+			return value, end, err
+		}
+		c.infraErrs.Add(1)
+		if attempt == 1 && c.policy.Retries > 0 && c.idempotent[cmd.Device+"."+cmd.Name] {
+			attempts += c.policy.Retries
+		}
+		if attempt >= attempts {
+			return value, end, err
+		}
+		c.retries.Add(1)
+		c.clock.Sleep(c.backoff(attempt - 1))
+		start = c.clock.Now()
+		value, end, err = c.execAttempt(d, cmd, start)
+	}
+}
+
 // execAttempt runs one deadline-bounded attempt. Under a real clock the
 // attempt is abandoned when the deadline fires (execDeadlined); under a
 // virtual clock a hang advances simulated time and returns promptly, so
 // the deadline is a post-hoc elapsed-time check — no goroutine, no
-// nondeterminism. handleExec inlines the virtual-clock body of this
-// function for the first attempt: the fault-free hot path must not pay a
-// call frame (cmd alone is seven words), and its overhead budget over the
-// seed's plain exec path is tight.
+// nondeterminism.
 func (c *Core) execAttempt(d device.Device, cmd device.Command, start time.Time) (string, time.Time, error) {
 	if c.realDeadline {
 		return c.execDeadlined(d, cmd)
@@ -198,39 +231,12 @@ func (c *Core) execAttempt(d device.Device, cmd device.Command, start time.Time)
 	return value, end, err
 }
 
-// execRetry continues the attempt loop after the first attempt hit an
-// infrastructure failure (already charged to the breaker by the caller):
-// idempotent commands earn backoff-spaced extra attempts, every outcome
-// feeds the breaker, and device-reported command errors return immediately
-// — they are answers, not outages. The idempotency map key is built here,
-// off the hot path, so the fault-free path never constructs it.
-func (c *Core) execRetry(d device.Device, br *fault.Breaker, cmd device.Command, sctx span.Context, value string, end time.Time, err error) (string, time.Time, error) {
-	attempts := 1
-	if c.policy.Retries > 0 && c.idempotent[cmd.Device+"."+cmd.Name] {
-		attempts += c.policy.Retries
-	}
-	for attempt := 1; attempt < attempts; attempt++ {
-		c.retries.Add(1)
-		c.clock.Sleep(c.backoff(attempt - 1))
-		start := c.clock.Now()
-		value, end, err = c.execAttempt(d, cmd, start)
-		infra := err != nil && fault.IsInfra(err)
-		br.Done(infra)
-		c.recordAttempt(sctx, attempt+1, br, start, end, err)
-		if !infra {
-			return value, end, err
-		}
-		c.infraErrs.Add(1)
-	}
-	return value, end, err
-}
-
 // backoff draws the next jittered retry delay from the policy's seeded
 // stream.
 func (c *Core) backoff(attempt int) time.Duration {
 	c.retryMu.Lock()
 	defer c.retryMu.Unlock()
-	return fault.Backoff(attempt, c.policy.RetryBase, c.policy.RetryMax, c.retryRng)
+	return fault.Backoff(attempt, retryBase, retryMax, c.retryRng)
 }
 
 // execDeadlined runs one attempt under a real-clock deadline: the attempt

@@ -84,15 +84,48 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// Tee fans a record out to several sinks, stopping at the first error — used
-// when the middlebox logs to both the document store and a CSV file.
-type Tee []Sink
+// SeqSink is a sink that assigns sequence numbers and reports each commit
+// (MemStore, tracedb.DB).
+type SeqSink interface {
+	Sink
+	Notifier
+}
 
-var _ Sink = Tee(nil)
+// Tee logs each record to a sequencing sink and then to any further sinks,
+// and writes the records the sequencing sink commits — carrying its
+// sequence numbers — to its exports (the JSONL/CSV file logs). An export
+// therefore numbers records exactly as the store and its live tail do,
+// across restarts too, where an export fed directly would count from 0.
+//
+// Exports are written inside the sequencing sink's commit hook, under its
+// lock, so they are serialized and cannot fail an Append: JSONLWriter and
+// CSVWriter keep a write error and return it from Flush. Tee implements
+// Notifier; a hook set on it runs after the exports, on the same records.
+type Tee struct {
+	seq     SeqSink
+	sinks   []Sink
+	exports []Sink
+}
 
-// Append forwards r to every sink in order.
-func (t Tee) Append(r Record) error {
-	for _, s := range t {
+var (
+	_ Sink     = (*Tee)(nil)
+	_ Notifier = (*Tee)(nil)
+)
+
+// NewTee builds a Tee over seq, the further sinks, and the exports.
+func NewTee(seq SeqSink, sinks []Sink, exports ...Sink) *Tee {
+	t := &Tee{seq: seq, sinks: sinks, exports: exports}
+	t.SetOnCommit(nil)
+	return t
+}
+
+// Append logs r to the sequencing sink, then to every further sink in
+// order, stopping at the first error.
+func (t *Tee) Append(r Record) error {
+	if err := t.seq.Append(r); err != nil {
+		return err
+	}
+	for _, s := range t.sinks {
 		if err := s.Append(r); err != nil {
 			return err
 		}
@@ -100,15 +133,17 @@ func (t Tee) Append(r Record) error {
 	return nil
 }
 
-// AppendBatch forwards the batch to every sink in order, preserving each
-// sink's own batching fast path.
-func (t Tee) AppendBatch(recs []Record) error {
-	for _, s := range t {
-		if err := AppendAll(s, recs); err != nil {
-			return err
+// SetOnCommit implements Notifier: fn (which may be nil) runs on each
+// commit after the exports are written.
+func (t *Tee) SetOnCommit(fn func(recs []Record)) {
+	t.seq.SetOnCommit(func(recs []Record) {
+		for _, r := range recs {
+			for _, e := range t.exports {
+				_ = e.Append(r)
+			}
 		}
-	}
-	return nil
+		if fn != nil {
+			fn(recs)
+		}
+	})
 }
-
-var _ BatchSink = Tee(nil)

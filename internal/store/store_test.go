@@ -194,14 +194,46 @@ func TestJSONLReadSkipsBlankLinesRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestTeeFansOut: a record reaches the sequencing sink and every further
+// sink, the export receives it with the sequencing sink's seq, and a hook
+// set on the tee sees the same committed records.
 func TestTeeFansOut(t *testing.T) {
-	a, b := NewMemStore(), NewMemStore()
-	tee := Tee{a, b}
-	if err := tee.Append(sampleRecord(0)); err != nil {
+	seq, other := NewMemStore(), NewMemStore()
+	// Give the sequencing sink a head start, as a reopened store has.
+	for i := 0; i < 3; i++ {
+		if err := seq.Append(sampleRecord(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	export := NewJSONLWriter(&buf)
+	tee := NewTee(seq, []Sink{other}, export)
+	var hooked []uint64
+	tee.SetOnCommit(func(recs []Record) {
+		for _, r := range recs {
+			hooked = append(hooked, r.Seq)
+		}
+	})
+	for i := 0; i < 2; i++ {
+		if err := tee.Append(sampleRecord(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seq.Len() != 5 || other.Len() != 2 {
+		t.Errorf("tee lens = %d, %d; want 5, 2", seq.Len(), other.Len())
+	}
+	if err := export.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("tee lens = %d, %d; want 1, 1", a.Len(), b.Len())
+	got, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 4 {
+		t.Errorf("export = %+v, want seqs 3 and 4", got)
+	}
+	if len(hooked) != 2 || hooked[0] != 3 || hooked[1] != 4 {
+		t.Errorf("hook saw seqs %v, want [3 4]", hooked)
 	}
 }
 

@@ -20,7 +20,7 @@
 //	+----------------+----------------+-------------------+
 //
 // One block is one flush boundary: a store.Batcher flush, an AppendBatch
-// call, or the automatic flush of BlockRecords staged per-record appends
+// call, or the automatic flush of store.DefaultBatchSize staged appends
 // lands as exactly one block (split only when it would exceed the block
 // size cap). The payload is a record count followed by that many records in
 // the canonical binary encoding below. Integers are varints, strings are

@@ -12,9 +12,10 @@ import (
 
 // TestObsTracedbMetrics: the write path feeds the append/flush histograms
 // and block totals, and the size gauges mirror the store's own accessors.
+// The per-record appends cross the automatic flush once.
 func TestObsTracedbMetrics(t *testing.T) {
 	clock := simclock.NewVirtual(time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC))
-	db, err := Open(t.TempDir(), Options{BlockRecords: 4, Clock: clock})
+	db, err := Open(t.TempDir(), Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,8 @@ func TestObsTracedbMetrics(t *testing.T) {
 	db.Observe(reg)
 
 	base := time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC)
-	for i := 0; i < 10; i++ {
+	const appends = store.DefaultBatchSize + 4
+	for i := 0; i < appends; i++ {
 		if err := db.Append(store.Record{Time: base, Device: "C9", Name: "MVNG"}); err != nil {
 			t.Fatal(err)
 		}
@@ -43,8 +45,8 @@ func TestObsTracedbMetrics(t *testing.T) {
 	for _, h := range snap.Histograms {
 		hist[h.Name+"/"+h.Labels["op"]] += h.Count
 	}
-	if hist["rad_tracedb_append_seconds/record"] != 10 {
-		t.Errorf("append record observations = %d, want 10", hist["rad_tracedb_append_seconds/record"])
+	if hist["rad_tracedb_append_seconds/record"] != appends {
+		t.Errorf("append record observations = %d, want %d", hist["rad_tracedb_append_seconds/record"], appends)
 	}
 	if hist["rad_tracedb_append_seconds/batch"] != 1 {
 		t.Errorf("append batch observations = %d, want 1", hist["rad_tracedb_append_seconds/batch"])
@@ -72,8 +74,13 @@ func TestObsTracedbMetrics(t *testing.T) {
 	for _, c := range snap.Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters["rad_tracedb_blocks_written_total"] == 0 || counters["rad_tracedb_bytes_written_total"] == 0 {
-		t.Errorf("block write totals not populated: %v", counters)
+	// One automatic flush, the staged tail flushed ahead of the batch, and
+	// the batch itself.
+	if got := counters["rad_tracedb_blocks_written_total"]; got != 3 {
+		t.Errorf("blocks written = %d, want 3", got)
+	}
+	if counters["rad_tracedb_bytes_written_total"] == 0 {
+		t.Errorf("byte write total not populated: %v", counters)
 	}
 
 	// The exposition names every tracedb family (the CLI's /metrics
@@ -96,7 +103,7 @@ func TestObsTracedbMetrics(t *testing.T) {
 // TestObsTracedbUnobservedPathUnchanged: a DB without Observe behaves
 // identically (guard against the refactor of Append into appendLocked).
 func TestObsTracedbUnobservedPathUnchanged(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{BlockRecords: 2})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,6 @@ type Options struct {
 	// one compaction step merges into a single output segment. Defaults to
 	// DefaultSegmentBytes.
 	SegmentBytes int64
-	// BlockRecords is the number of per-record Append calls staged before
-	// they are automatically flushed as one block. Defaults to
-	// store.DefaultBatchSize. AppendBatch always lands as its own block
-	// (the store.Batcher flush boundary) regardless of this setting.
-	BlockRecords int
 	// Clock is the time source for observability timings (recovery,
 	// append, and flush latency histograms — see Observe) and for the
 	// retention age horizon. It never affects the append path. Defaults to
@@ -214,9 +209,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.BlockRecords <= 0 {
-		opts.BlockRecords = store.DefaultBatchSize
-	}
 	if opts.Clock == nil {
 		opts.Clock = simclock.Real{}
 	}
@@ -284,8 +276,8 @@ func (db *DB) SetOnCommit(fn func(recs []store.Record)) {
 }
 
 // Append assigns the next sequence number and stages the record; staged
-// records are flushed as one block every Options.BlockRecords appends, on
-// Flush, or on Close. Staged records are already visible to readers.
+// records are flushed as one block every store.DefaultBatchSize appends,
+// on Flush, or on Close (AppendBatch always lands as its own block). Staged records are already visible to readers.
 func (db *DB) Append(r store.Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -308,7 +300,7 @@ func (db *DB) appendLocked(r store.Record) error {
 	if db.onCommit != nil {
 		db.onCommit(db.pending[len(db.pending)-1:])
 	}
-	if len(db.pending) >= db.opts.BlockRecords {
+	if len(db.pending) >= store.DefaultBatchSize {
 		return db.flushLocked()
 	}
 	return nil

@@ -197,7 +197,7 @@ func TestRoundTripRotationAndQueries(t *testing.T) {
 }
 
 func TestStagedAppendsVisibleAndFlushed(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{BlockRecords: 100})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

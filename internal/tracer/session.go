@@ -53,11 +53,6 @@ type Config struct {
 	// which the middlebox labels "unknown procedure").
 	Procedure string
 	Run       string
-	// SyncTrace makes DIRECT-mode trace uploads synchronous. Asynchronous
-	// uploads (the default) keep tracing off the command latency path as in
-	// the paper; synchronous uploads give deterministic ordering under a
-	// virtual clock.
-	SyncTrace bool
 }
 
 // Session is a lab-computer-side tracing context: it hands out virtualized
@@ -217,7 +212,6 @@ func (v *Virtual) Exec(cmd device.Command) (string, error) {
 
 	s.mu.Lock()
 	proc, run := s.cfg.Procedure, s.cfg.Run
-	syncTrace := s.cfg.SyncTrace
 	local := s.locals[v.name]
 	closed := s.closed
 	s.mu.Unlock()
@@ -257,23 +251,17 @@ func (v *Virtual) Exec(cmd device.Command) (string, error) {
 			}
 			s.spans.Record(sp)
 		}
-		if syncTrace {
-			if _, terr := s.transport.RoundTrip(req); terr != nil {
-				s.mu.Lock()
-				s.dropped++
-				s.mu.Unlock()
-			}
-		} else {
-			s.mu.Lock()
-			select {
-			case s.traceCh <- req:
-				s.pending++
-			default:
-				// Queue full: drop the trace rather than stall the lab.
-				s.dropped++
-			}
-			s.mu.Unlock()
+		// The upload is asynchronous, keeping tracing off the command
+		// latency path as in the paper; Flush waits for it.
+		s.mu.Lock()
+		select {
+		case s.traceCh <- req:
+			s.pending++
+		default:
+			// Queue full: drop the trace rather than stall the lab.
+			s.dropped++
 		}
+		s.mu.Unlock()
 		return value, err
 
 	case ModeRemote:

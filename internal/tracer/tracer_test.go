@@ -83,7 +83,7 @@ func TestDirectModeExecutesLocallyAndUploads(t *testing.T) {
 	localArm := c9.New(device.NewEnv(clock, 9))
 	transport := NewLocalTransport(core, clock, middlebox.NetworkProfile{}, 1)
 	sess := NewSession(transport, clock, Config{
-		DefaultMode: ModeDirect, Procedure: "Joystick", Run: "run-0", SyncTrace: true,
+		DefaultMode: ModeDirect, Procedure: "Joystick", Run: "run-0",
 	})
 	defer sess.Close()
 	sess.AttachLocal(localArm)
@@ -98,6 +98,7 @@ func TestDirectModeExecutesLocallyAndUploads(t *testing.T) {
 	if _, err := dev.Exec(device.Command{Name: "ARM", Args: []string{"5", "5", "5"}}); err != nil {
 		t.Fatal(err)
 	}
+	sess.Flush()
 	recs := sink.All()
 	if len(recs) != 2 {
 		t.Fatalf("logged %d records", len(recs))
@@ -114,7 +115,7 @@ func TestDirectModeErrorTracedAsException(t *testing.T) {
 	core, sink, clock, _, _ := newRig(t)
 	localArm := c9.New(device.NewEnv(clock, 9))
 	transport := NewLocalTransport(core, clock, middlebox.NetworkProfile{}, 1)
-	sess := NewSession(transport, clock, Config{DefaultMode: ModeDirect, SyncTrace: true})
+	sess := NewSession(transport, clock, Config{DefaultMode: ModeDirect})
 	defer sess.Close()
 	sess.AttachLocal(localArm)
 
@@ -128,6 +129,7 @@ func TestDirectModeErrorTracedAsException(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatalf("want local FaultError, got %v", err)
 	}
+	sess.Flush()
 	recs := sink.All()
 	last := recs[len(recs)-1]
 	if last.Exception == "" {
@@ -142,7 +144,6 @@ func TestHybridConfiguration(t *testing.T) {
 	sess := NewSession(transport, clock, Config{
 		DefaultMode: ModeRemote,
 		Modes:       map[string]Mode{device.Tecan: ModeDirect},
-		SyncTrace:   true,
 	})
 	defer sess.Close()
 	sess.AttachLocal(localPump)
@@ -168,6 +169,7 @@ func TestHybridConfiguration(t *testing.T) {
 	if _, err := pumpDev.Exec(device.Command{Name: device.Init}); err != nil {
 		t.Fatal(err)
 	}
+	sess.Flush()
 	recs := sink.All()
 	if len(recs) != 2 {
 		t.Fatalf("logged %d records", len(recs))

@@ -175,65 +175,6 @@ func intern(b []byte) string {
 	return string(b)
 }
 
-// Per-connection learned vocabulary. The static intern table covers the
-// protocol's fixed words; tenant IDs are an open vocabulary chosen by the
-// peer, yet each one repeats on every frame of a fleet workload. A
-// connection therefore learns the tenant IDs it sees and hands back shared
-// instances — but the table is strictly bounded, because an interning table
-// a hostile peer can grow without limit is a memory exhaustion primitive
-// against the trusted middlebox. Past the cap the decode fails hard
-// (ErrVocabFull) rather than degrading: a single connection presenting more
-// than MaxConnVocab distinct tenants is either an attack or a client bug,
-// and either way the fleet listener wants it severed, not absorbed. Peers
-// that legitimately multiplex more tenants spread them across connections.
-const (
-	// MaxConnVocab bounds the number of distinct learned (non-catalog)
-	// vocabulary words one connection may present.
-	MaxConnVocab = 4096
-	// maxVocabWordLen bounds one learned word; longer strings decode fine
-	// but are never retained (they cannot be legal tenant IDs anyway).
-	maxVocabWordLen = 256
-)
-
-// ErrVocabFull is returned (wrapped, as a strict decode error) when a
-// connection exceeds MaxConnVocab distinct learned vocabulary words.
-var ErrVocabFull = errors.New("wire: per-connection vocabulary limit exceeded")
-
-// connVocab is one connection's learned-word intern table. It is owned by a
-// single Conn and accessed only from that Conn's read path, so it needs no
-// lock.
-type connVocab struct {
-	words map[string]string
-}
-
-// intern resolves b through the static table, then the learned table,
-// learning it when there is room. A word past maxVocabWordLen is copied
-// without being retained; a connection past MaxConnVocab distinct words is
-// a protocol violation.
-func (v *connVocab) intern(b []byte) (string, error) {
-	if len(b) == 0 {
-		return "", nil
-	}
-	if s, ok := internTable[string(b)]; ok {
-		return s, nil
-	}
-	if v == nil || len(b) > maxVocabWordLen {
-		return string(b), nil
-	}
-	if s, ok := v.words[string(b)]; ok {
-		return s, nil
-	}
-	if len(v.words) >= MaxConnVocab {
-		return "", fmt.Errorf("%w (%d distinct words)", ErrVocabFull, MaxConnVocab)
-	}
-	if v.words == nil {
-		v.words = make(map[string]string, 8)
-	}
-	s := string(b)
-	v.words[s] = s
-	return s, nil
-}
-
 // ---------------------------------------------------------------------------
 // Append-encoders. All of them grow dst in place and never fail; size
 // enforcement happens once, on the finished frame.
@@ -434,9 +375,8 @@ func appendBinaryFrame(dst []byte, v any) ([]byte, error) {
 // a malicious header can make the decoder fail, never over-allocate.
 
 type breader struct {
-	b     []byte
-	err   error
-	vocab *connVocab
+	b   []byte
+	err error
 }
 
 func (r *breader) fail(format string, args ...any) {
@@ -492,30 +432,6 @@ func (r *breader) str() string {
 		return ""
 	}
 	s := intern(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// vocabStr reads a length-prefixed string through the connection's learned
-// vocabulary (tenant IDs and the like: open vocabulary, but repeated on
-// every frame). Exceeding the learned-word cap is a strict decode error —
-// the sticky error severs the connection like any other protocol violation.
-func (r *breader) vocabStr() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)) {
-		r.fail("string of %d bytes announced with %d left", n, len(r.b))
-		return ""
-	}
-	s, err := r.vocab.intern(r.b[:n])
-	if err != nil {
-		if r.err == nil {
-			r.err = err
-		}
-		return ""
-	}
 	r.b = r.b[n:]
 	return s
 }
@@ -607,7 +523,7 @@ func decodeRequest(r *breader, q *Request) {
 		case reqRun:
 			q.Run = r.str()
 		case reqTenant:
-			q.Tenant = r.vocabStr()
+			q.Tenant = r.str()
 		case reqTraceID:
 			q.TraceID = r.uvarint()
 		case reqSpanID:
@@ -671,7 +587,7 @@ func decodeSubscribe(r *breader, s *Subscribe) {
 		case subBuffer:
 			s.Buffer = int(r.varint())
 		case subTenant:
-			s.Tenant = r.vocabStr()
+			s.Tenant = r.str()
 		case subResume:
 			s.ResumeFrom = r.uvarint()
 		default:
@@ -799,24 +715,15 @@ func decodeSampleBody(r *breader, s *power.Sample) {
 
 var errEmptyBinaryFrame = errors.New("wire: empty binary frame")
 
-// decodeBinaryFrame decodes one complete binary payload into v with no
-// learned vocabulary (every learned-vocab string is copied fresh). The
-// connection read path uses decodeBinaryFrameVocab instead.
+// decodeBinaryFrame decodes one complete binary payload into v, which must
+// point at the frame type the payload carries — a mismatch is a protocol
+// error, reported precisely rather than producing a half-filled struct.
 func decodeBinaryFrame(payload []byte, v any) error {
-	return decodeBinaryFrameVocab(payload, v, nil)
-}
-
-// decodeBinaryFrameVocab decodes one complete binary payload into v, which
-// must point at the frame type the payload carries — a mismatch is a
-// protocol error, reported precisely rather than producing a half-filled
-// struct. vocab, when non-nil, is the owning connection's learned-word
-// table; a frame that would grow it past MaxConnVocab fails the decode.
-func decodeBinaryFrameVocab(payload []byte, v any, vocab *connVocab) error {
 	if len(payload) == 0 {
 		return errEmptyBinaryFrame
 	}
 	typ := payload[0]
-	r := &breader{b: payload[1:], vocab: vocab}
+	r := &breader{b: payload[1:]}
 	switch dst := v.(type) {
 	case *Request:
 		if typ != binRequest {

@@ -67,12 +67,6 @@ type Conn struct {
 	br *bufio.Reader
 	m  *Metrics
 
-	// vocab is this connection's learned-word intern table (tenant IDs and
-	// other open-vocabulary strings that repeat across frames). It is only
-	// touched from the read path, which is single-threaded per direction, so
-	// it needs no lock; its growth is bounded by MaxConnVocab.
-	vocab connVocab
-
 	// capture, when set, retains the latest per-frame codec latencies for
 	// LastCodecLatency. Like the metrics timers it measures the marshal step
 	// only — never socket I/O — so a span built from it reflects codec work,
@@ -170,7 +164,7 @@ func (c *Conn) ReadFrame(v any) error {
 		return fmt.Errorf("wire: read frame payload: %w", err)
 	}
 	start := c.stamp()
-	if err := decodeBinaryFrameVocab(payload, v, &c.vocab); err != nil {
+	if err := decodeBinaryFrame(payload, v); err != nil {
 		return err
 	}
 	c.observeRead(start)
